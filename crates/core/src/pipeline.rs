@@ -8,7 +8,7 @@ use tfgc_ir::{lower_full, IrProgram, RttiInfo};
 use tfgc_obs::{GcEvent, Obs};
 use tfgc_syntax::parse_program;
 use tfgc_types::{elaborate, is_monomorphic, TProgram};
-use tfgc_vm::{run_program, RunOutcome, VmConfig, VmError};
+use tfgc_vm::{RunOutcome, Vm, VmConfig, VmError};
 
 /// A front-end error from any stage.
 #[derive(Debug, Clone)]
@@ -134,7 +134,7 @@ impl Compiled {
     ///
     /// Propagates VM runtime errors.
     pub fn run_with_meta(&self, cfg: VmConfig, meta: GcMeta) -> Result<RunOutcome, VmError> {
-        let mut vm = tfgc_vm::Vm::with_meta(&self.program, cfg, meta);
+        let mut vm = Vm::with_meta(&self.program, cfg, meta);
         vm.run()
     }
 
@@ -150,7 +150,7 @@ impl Compiled {
         meta: GcMeta,
         obs: Obs,
     ) -> Result<(RunOutcome, Obs), VmError> {
-        let mut vm = tfgc_vm::Vm::with_meta(&self.program, cfg, meta);
+        let mut vm = Vm::with_meta(&self.program, cfg, meta);
         vm.obs = obs;
         let out = vm.run()?;
         Ok((out, std::mem::take(&mut vm.obs)))
@@ -169,9 +169,12 @@ impl Compiled {
         cfg: VmConfig,
         ring_capacity: usize,
     ) -> Result<(RunOutcome, tfgc_obs::RingRecorder), VmError> {
-        let meta = self.metadata(cfg.strategy);
-        let (out, obs) = self.run_observed(cfg, meta, Obs::ring(ring_capacity))?;
-        let rec = obs.into_recorder().expect("ring sink survives the run");
+        let mut vm = self.vm(cfg);
+        vm.obs = Obs::ring(ring_capacity);
+        let out = vm.run()?;
+        let rec = std::mem::take(&mut vm.obs)
+            .into_recorder()
+            .expect("ring sink survives the run");
         Ok((out, rec))
     }
 
@@ -181,7 +184,7 @@ impl Compiled {
     ///
     /// Propagates VM runtime errors.
     pub fn run(&self, strategy: Strategy) -> Result<RunOutcome, VmError> {
-        run_program(&self.program, VmConfig::new(strategy))
+        self.run_with(VmConfig::new(strategy))
     }
 
     /// Runs with a custom VM configuration.
@@ -190,7 +193,13 @@ impl Compiled {
     ///
     /// Propagates VM runtime errors.
     pub fn run_with(&self, cfg: VmConfig) -> Result<RunOutcome, VmError> {
-        run_program(&self.program, cfg)
+        self.vm(cfg).run()
+    }
+
+    /// A VM for this program under `cfg`, reusing the analyses computed
+    /// at compile time.
+    fn vm(&self, cfg: VmConfig) -> Vm<'_> {
+        Vm::with_analyses(&self.program, &self.analyses, cfg)
     }
 
     /// Runs under every strategy, asserting identical observable output;

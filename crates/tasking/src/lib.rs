@@ -637,7 +637,11 @@ pub fn serve_requests_overload(
 fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
     let mut blocked_without_progress = false;
     loop {
-        match vm.step()? {
+        let (res, ran) = vm.exec(u64::MAX, false);
+        if ran > 0 {
+            blocked_without_progress = false;
+        }
+        match res? {
             StepEvent::Done(_) => return Ok(()),
             StepEvent::AllocBlocked(site) => {
                 if blocked_without_progress {
@@ -657,7 +661,7 @@ fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
                     blocked_without_progress = true;
                 }
             }
-            StepEvent::Continue => blocked_without_progress = false,
+            StepEvent::Continue => {}
         }
     }
 }
@@ -1280,9 +1284,20 @@ impl Scheduler<'_> {
             // will re-mark the task.
             self.blocked_on_alloc[i] = None;
         }
-        for _ in 0..self.quantum {
-            // The suspension test (§4): executed per the policy's cost
-            // model at each safe-point instruction.
+        let mut left = self.quantum;
+        while left > 0 {
+            // Straight-line stretch: everything up to the next call or
+            // allocation runs in one dispatch loop.
+            let (res, ran) = self.vm.exec(left, true);
+            left -= ran;
+            if self.settle_step(i, res, ran)? {
+                return Ok(());
+            }
+            if left == 0 {
+                break;
+            }
+            // The next instruction is a safe point. The suspension test
+            // (§4): executed per the policy's cost model.
             let at_call = matches!(
                 self.vm.current_instr(),
                 Instr::CallDirect { .. } | Instr::CallClosure { .. }
@@ -1334,35 +1349,47 @@ impl Scheduler<'_> {
                     return Ok(());
                 }
             }
-            match self.vm.step() {
-                Ok(StepEvent::Continue) => {
-                    self.fuel_spent[i] += 1;
-                    if self.gc_pending {
-                        self.latency += 1;
-                    }
-                }
-                Ok(StepEvent::Done(_)) => {
-                    self.fuel_spent[i] += 1;
-                    self.finish(i, None);
-                    return Ok(());
-                }
-                Ok(StepEvent::AllocBlocked(site)) => {
-                    self.gc_pending = true;
-                    self.blocked_on_alloc[i] = Some(site);
-                    self.vm.park_thread(thread, site);
-                    self.parked[i] = true;
-                    let task = i as u32;
-                    self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
-                        t_ns,
-                        task,
-                        site: site.0,
-                    });
-                    return Ok(());
-                }
-                Err(e) => return self.quarantine(i, e),
+            let (res, ran) = self.vm.exec(1, false);
+            left -= 1;
+            if self.settle_step(i, res, ran)? {
+                return Ok(());
             }
         }
         Ok(())
+    }
+
+    /// Accounts `ran` completed instructions of slot `i` and handles how
+    /// its [`Vm::exec`] ended. Returns `true` when the quantum is over:
+    /// the request finished, blocked on the heap, or was quarantined.
+    fn settle_step(&mut self, i: usize, res: VmResult<StepEvent>, ran: u64) -> VmResult<bool> {
+        self.fuel_spent[i] += ran;
+        if self.gc_pending {
+            // The return that finishes a request ends its delay of the
+            // pending collection rather than adding to it.
+            let finished = matches!(res, Ok(StepEvent::Done(_)));
+            self.latency += ran - u64::from(finished);
+        }
+        match res {
+            Ok(StepEvent::Continue) => Ok(false),
+            Ok(StepEvent::Done(_)) => {
+                self.finish(i, None);
+                Ok(true)
+            }
+            Ok(StepEvent::AllocBlocked(site)) => {
+                self.gc_pending = true;
+                self.blocked_on_alloc[i] = Some(site);
+                self.vm.park_thread(self.tasks[i], site);
+                self.parked[i] = true;
+                let task = i as u32;
+                self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
+                    t_ns,
+                    task,
+                    site: site.0,
+                });
+                Ok(true)
+            }
+            Err(e) => self.quarantine(i, e).map(|()| true),
+        }
     }
 
     /// Records a per-request error, kills the slot's stack (its heap

@@ -16,13 +16,12 @@ use crate::error::{VmError, VmResult};
 use crate::render::render_value;
 use crate::stats::MutatorStats;
 use tfgc_gc::{
-    collect, pack_ret, Analyses, DescArena, GcMeta, GcStats, MachineRoots, StackRoots, Strategy,
-    FRAME_HDR, MAIN_RET, NO_FP,
+    collect, pack_ret, Analyses, DescArena, DescId, GcMeta, GcStats, MachineRoots, StackRoots,
+    Strategy, FRAME_HDR, MAIN_RET, NO_FP,
 };
 use tfgc_ir::{ArithOp, CallSiteId, CmpOp, CtorRep, FnId, Instr, IrProgram, Slot};
 use tfgc_obs::{GcEvent, Obs};
-use tfgc_runtime::{ArithKind, Encoding, Heap, HeapStats, Word, HEAP_BASE};
-use tfgc_types::ParamId;
+use tfgc_runtime::{Addr, ArithKind, Encoding, Heap, HeapStats, Word, HEAP_BASE};
 use tfgc_verify::{
     snapshot_tagfree, snapshot_tagged, verify_tagfree, verify_tagged, CanonHeap, FaultPlan,
     RootsView, StackView,
@@ -191,6 +190,21 @@ pub enum StepEvent {
     AllocBlocked(CallSiteId),
 }
 
+/// How a [`Vm::dispatch`] run ended.
+#[derive(Debug)]
+enum Exit {
+    /// The budget ran out.
+    Budget,
+    /// The next instruction is a call or an allocation.
+    Safepoint,
+    /// The thread's bottom frame returned this word.
+    Done(Word),
+    /// Cooperative mode: the allocation at this site found the heap full.
+    Blocked(CallSiteId),
+    /// The last instruction counted failed.
+    Fault(VmError),
+}
+
 /// One thread of control (§4's task).
 #[derive(Debug, Clone)]
 struct ThreadState {
@@ -234,6 +248,9 @@ pub struct Vm<'p> {
     pending_oversize: usize,
     /// Differential-oracle state, when snapshots are enabled.
     oracle: Option<Box<OracleState>>,
+    /// Operand buffer of the collect-and-retry allocation path, reused
+    /// across allocations (the collector relocates what it holds).
+    operands: Vec<Word>,
 }
 
 /// Pre-collection snapshots for the tagged-oracle differential check.
@@ -249,13 +266,19 @@ impl<'p> Vm<'p> {
     /// Creates a VM for `prog`, compiling the strategy's metadata. Thread
     /// 0 is set up to run `main`.
     pub fn new(prog: &'p IrProgram, cfg: VmConfig) -> Vm<'p> {
-        let analyses = Analyses::compute(prog);
+        Vm::with_analyses(prog, &Analyses::compute(prog), cfg)
+    }
+
+    /// Creates a VM for `prog` from analyses already computed for it
+    /// (a compiled program keeps its own), building only the strategy's
+    /// metadata.
+    pub fn with_analyses(prog: &'p IrProgram, analyses: &Analyses, cfg: VmConfig) -> Vm<'p> {
         // Cooperative (multi-task) machines must keep every gc_word:
         // another task can trigger a collection anywhere.
         let meta = if cfg.cooperative {
-            GcMeta::build_multi_task(prog, &analyses, cfg.strategy)
+            GcMeta::build_multi_task(prog, analyses, cfg.strategy)
         } else {
-            GcMeta::build(prog, &analyses, cfg.strategy)
+            GcMeta::build(prog, analyses, cfg.strategy)
         };
         Vm::with_meta(prog, cfg, meta)
     }
@@ -302,6 +325,7 @@ impl<'p> Vm<'p> {
             alloc_seq: 0,
             pending_oversize: 0,
             oracle: None,
+            operands: Vec::new(),
         };
         vm.spawn_thread(prog.main, &[]);
         vm
@@ -454,29 +478,10 @@ impl<'p> Vm<'p> {
         &self.threads[self.cur]
     }
 
-    fn th_mut(&mut self) -> &mut ThreadState {
-        &mut self.threads[self.cur]
-    }
-
-    fn get(&self, s: Slot) -> Word {
-        let t = self.th();
-        t.stack[t.fp + FRAME_HDR + s.0 as usize]
-    }
-
-    fn set(&mut self, s: Slot, w: Word) {
-        let t = self.th_mut();
-        let i = t.fp + FRAME_HDR + s.0 as usize;
-        t.stack[i] = w;
-    }
-
-    fn fn_name(&self) -> String {
-        self.prog.fun(self.th().fn_id).name.clone()
-    }
-
     /// Runs thread 0 to completion.
     pub fn run(&mut self) -> VmResult<RunOutcome> {
         loop {
-            match self.step()? {
+            match self.exec(u64::MAX, false).0? {
                 StepEvent::Done(w) => {
                     let result =
                         render_value(self.prog, &self.heap, self.enc, w, &self.prog.main_ty);
@@ -500,282 +505,382 @@ impl<'p> Vm<'p> {
 
     /// Executes one instruction of the current thread.
     pub fn step(&mut self) -> VmResult<StepEvent> {
-        if let Some(limit) = self.cfg.max_steps {
-            if self.mutator.instructions >= limit {
-                return Err(VmError::StepLimit { limit });
-            }
-        }
-        self.mutator.instructions += 1;
-        // A stalled (runaway-fault) thread burns its instruction without
-        // making progress; only a deadline/fuel budget or the step limit
-        // above can end it.
-        if self.th().stalled {
-            return Ok(StepEvent::Continue);
-        }
-        let prog = self.prog;
-        let (fn_id, pc) = {
-            let t = self.th();
-            (t.fn_id, t.pc)
-        };
-        let ins = &prog.fun(fn_id).code[pc as usize];
-        match ins {
-            Instr::LoadInt(d, n) => {
-                let w = self.enc.int(*n);
-                self.set(*d, w);
-            }
-            Instr::LoadBool(d, b) => {
-                let w = self.enc.bool(*b);
-                self.set(*d, w);
-            }
-            Instr::LoadUnit(d) => {
-                let w = self.enc.unit();
-                self.set(*d, w);
-            }
-            Instr::LoadGlobal(d, g) => {
-                let w = self.globals[g.0 as usize];
-                self.set(*d, w);
-            }
-            Instr::StoreGlobal(g, s) => {
-                self.globals[g.0 as usize] = self.get(*s);
-            }
-            Instr::Move(d, s) => {
-                let w = self.get(*s);
-                self.set(*d, w);
-            }
-            Instr::Arith(d, op, a, b) => {
-                let x = self.enc.int_of(self.get(*a));
-                let y = self.enc.int_of(self.get(*b));
-                let (kind, val) = match op {
-                    ArithOp::Add => (ArithKind::Add, Some(x.wrapping_add(y))),
-                    ArithOp::Sub => (ArithKind::Sub, Some(x.wrapping_sub(y))),
-                    ArithOp::Mul => (ArithKind::Mul, Some(x.wrapping_mul(y))),
-                    ArithOp::Div => (ArithKind::Div, x.checked_div(y)),
-                    ArithOp::Mod => (ArithKind::Mod, x.checked_rem(y)),
-                };
-                let val = val.ok_or_else(|| VmError::DivideByZero {
-                    function: self.fn_name(),
-                })?;
-                self.mutator.tag_ops += self.enc.arith_tag_ops(kind);
-                let w = self.enc.int(val);
-                self.set(*d, w);
-            }
-            Instr::Cmp(d, op, a, b) => {
-                let x = self.enc.int_of(self.get(*a));
-                let y = self.enc.int_of(self.get(*b));
-                let r = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                };
-                self.mutator.tag_ops += self.enc.arith_tag_ops(ArithKind::Cmp);
-                let w = self.enc.bool(r);
-                self.set(*d, w);
-            }
-            Instr::Neg(d, a) => {
-                let x = self.enc.int_of(self.get(*a));
-                self.mutator.tag_ops += self.enc.arith_tag_ops(ArithKind::Neg);
-                let w = self.enc.int(x.wrapping_neg());
-                self.set(*d, w);
-            }
-            Instr::Not(d, a) => {
-                let x = self.enc.bool_of(self.get(*a));
-                let w = self.enc.bool(!x);
-                self.set(*d, w);
-            }
-            Instr::Jump(t) => {
-                self.th_mut().pc = *t;
-                return Ok(StepEvent::Continue);
-            }
-            Instr::BranchFalse(s, t) => {
-                if !self.enc.bool_of(self.get(*s)) {
-                    self.th_mut().pc = *t;
-                    return Ok(StepEvent::Continue);
-                }
-            }
-            Instr::BranchIntNe(s, n, t) => {
-                if self.enc.int_of(self.get(*s)) != *n {
-                    self.th_mut().pc = *t;
-                    return Ok(StepEvent::Continue);
-                }
-            }
-            Instr::BranchTagNe {
-                obj,
-                data,
-                ctor,
-                target,
-            } => {
-                let w = self.get(*obj);
-                let rep = prog.ctor_rep(*data, *ctor);
-                if !self.value_matches_ctor(w, rep) {
-                    self.th_mut().pc = *target;
-                    return Ok(StepEvent::Continue);
-                }
-            }
-            Instr::GetField(d, o, i) => {
-                let w = self.get(*o);
-                let v = self.heap_field(w, *i);
-                self.set(*d, v);
-            }
-            Instr::MakeTuple { dst, elems, site } => {
-                let mut words: Vec<Word> = elems.iter().map(|s| self.get(*s)).collect();
-                match self.alloc_object(*site, None, &mut words, false)? {
-                    Some(ptr) => self.set(*dst, ptr),
-                    None => return Ok(StepEvent::AllocBlocked(*site)),
-                }
-            }
-            Instr::MakeData {
-                dst,
-                data,
-                ctor,
-                fields,
-                site,
-            } => {
-                let rep = prog.ctor_rep(*data, *ctor);
-                let tag_word = match rep {
-                    CtorRep::Ptr { tag: Some(t), .. } => Some(self.encode_tag(t)),
-                    CtorRep::Ptr { tag: None, .. } => None,
-                    CtorRep::Imm(_) => {
-                        unreachable!("immediate constructors lower to LoadInt")
-                    }
-                };
-                let mut words: Vec<Word> = fields.iter().map(|s| self.get(*s)).collect();
-                match self.alloc_object(*site, tag_word, &mut words, tag_word.is_some())? {
-                    Some(ptr) => self.set(*dst, ptr),
-                    None => return Ok(StepEvent::AllocBlocked(*site)),
-                }
-            }
-            Instr::MakeClosure {
-                dst,
-                f,
-                captures,
-                site,
-            } => {
-                let fn_word = self.encode_fn_id(*f);
-                let mut words: Vec<Word> = captures.iter().map(|s| self.get(*s)).collect();
-                match self.alloc_object(*site, Some(fn_word), &mut words, false)? {
-                    Some(ptr) => self.set(*dst, ptr),
-                    None => return Ok(StepEvent::AllocBlocked(*site)),
-                }
-            }
-            Instr::EvalDesc { dst, template } => {
-                self.mutator.desc_evals += 1;
-                let ty = prog.desc_template(*template).clone();
-                let f = prog.fun(fn_id);
-                // Resolve parameter descriptors from this frame's
-                // descriptor slots.
-                let lookup_pairs: Vec<(ParamId, Word)> = f
-                    .desc_param_slots
-                    .iter()
-                    .map(|(q, s)| (*q, self.get(*s)))
-                    .collect();
-                let enc = self.enc;
-                let id = self.descs.eval_type(&ty, &|p| {
-                    lookup_pairs
-                        .iter()
-                        .find(|(q, _)| *q == p)
-                        .map(|(_, w)| tfgc_gc::DescId(decode_desc_word(enc, *w)))
-                });
-                let w = self.encode_desc_word(id.0);
-                self.set(*dst, w);
-            }
-            Instr::CallDirect { dst, f, args, site } => {
-                self.mutator.calls += 1;
-                let words: Vec<Word> = args.iter().map(|s| self.get(*s)).collect();
-                self.push_frame(*f, *site, *dst, &words)?;
-                return Ok(StepEvent::Continue);
-            }
-            Instr::CallClosure {
-                dst,
-                clos,
-                arg,
-                site,
-            } => {
-                self.mutator.closure_calls += 1;
-                let cw = self.get(*clos);
-                let aw = self.get(*arg);
-                let f = FnId(self.decode_fn_id(self.heap_field(cw, 0)));
-                self.push_frame(f, *site, *dst, &[cw, aw])?;
-                return Ok(StepEvent::Continue);
-            }
-            Instr::Return(s) => {
-                let w = self.get(*s);
-                return self.do_return(w);
-            }
-            Instr::Print(s) => {
-                let v = self.enc.int_of(self.get(*s));
-                self.printed.push(v);
-            }
-            Instr::MatchFail => {
-                return Err(VmError::MatchFailure {
-                    function: self.fn_name(),
-                })
-            }
-        }
-        self.th_mut().pc += 1;
-        Ok(StepEvent::Continue)
+        self.exec(1, false).0
     }
 
-    /// Pushes a callee frame: dynamic link, return word (the gc_word key),
-    /// slots. The first `args.len()` slots receive the arguments.
+    /// The dispatch loop: runs up to `budget` instructions of the current
+    /// thread. Returns how the run ended and how many instructions
+    /// completed — an instruction that blocks on the heap or fails is
+    /// counted in [`MutatorStats::instructions`] but not here.
+    ///
+    /// `Continue` means the budget ran out or, with
+    /// `stop_before_safepoint`, that the next instruction is a call or an
+    /// allocation (the scheduler's suspension points); that instruction
+    /// has not run. `max_steps` is enforced as a remaining budget: the
+    /// run fails with [`VmError::StepLimit`] at exactly the instruction
+    /// a one-at-a-time check would refuse.
+    pub fn exec(&mut self, budget: u64, stop_before_safepoint: bool) -> (VmResult<StepEvent>, u64) {
+        let allowed = match self.cfg.max_steps {
+            Some(limit) => limit.saturating_sub(self.mutator.instructions),
+            None => u64::MAX,
+        };
+        let (exit, counted) = self.dispatch(budget.min(allowed), stop_before_safepoint);
+        self.mutator.instructions += counted;
+        match exit {
+            Exit::Budget if counted < budget => {
+                let limit = self.cfg.max_steps.unwrap_or(u64::MAX);
+                (Err(VmError::StepLimit { limit }), counted)
+            }
+            Exit::Budget | Exit::Safepoint => (Ok(StepEvent::Continue), counted),
+            Exit::Done(w) => (Ok(StepEvent::Done(w)), counted),
+            Exit::Blocked(site) => (Ok(StepEvent::AllocBlocked(site)), counted - 1),
+            Exit::Fault(e) => (Err(e), counted - 1),
+        }
+    }
+
+    /// The body of [`Vm::exec`] with `budget` already capped by
+    /// `max_steps`. The thread's registers live in locals; the frame is
+    /// re-cached only on call and return, and the stack goes back into
+    /// the thread only for the collect-and-retry path and on exit.
+    /// Returns the exit and the instructions counted.
+    fn dispatch(&mut self, budget: u64, stop: bool) -> (Exit, u64) {
+        let prog = self.prog;
+        let enc = self.enc;
+        let cur = self.cur;
+        let t = &mut self.threads[cur];
+        let mut stack = std::mem::take(&mut t.stack);
+        let mut fp = t.fp;
+        let mut fn_id = t.fn_id;
+        let mut pc = t.pc as usize;
+        let mut stalled = t.stalled;
+        let mut base = fp + FRAME_HDR;
+        let mut code: &[Instr] = &prog.fun(fn_id).code;
+        let mut left = budget;
+
+        macro_rules! get {
+            ($s:expr) => {
+                stack[base + $s.0 as usize]
+            };
+        }
+        macro_rules! set {
+            ($d:expr, $w:expr) => {{
+                let w = $w;
+                stack[base + $d.0 as usize] = w;
+            }};
+        }
+        // Allocates an object whose fields are frame slots. The fields
+        // go straight into the heap when `Heap::alloc` succeeds; only a
+        // full heap, a forced collection or a fault schedule takes the
+        // buffered collect-and-retry path.
+        macro_rules! alloc {
+            ($dst:expr, $site:expr, $head:expr, $fields:expr, $disc:expr) => {{
+                let head: Option<Word> = $head;
+                let fields: &[Slot] = $fields;
+                let total = enc.mode.header_words() + usize::from(head.is_some()) + fields.len();
+                let fast = if self.cfg.force_gc_every.is_none() && self.cfg.fault_plan.is_none() {
+                    self.heap.alloc(total)
+                } else {
+                    None
+                };
+                let ptr = match fast {
+                    Some(addr) => {
+                        self.alloc_seq += 1;
+                        let slots = &stack[base..];
+                        write_object(
+                            &mut self.heap,
+                            enc,
+                            addr,
+                            total,
+                            head,
+                            fields.iter().map(|s| slots[s.0 as usize]),
+                        );
+                        self.emit_alloc($site, total, addr);
+                        enc.ptr(addr)
+                    }
+                    None => {
+                        let t = &mut self.threads[cur];
+                        t.fp = fp;
+                        t.fn_id = fn_id;
+                        t.pc = pc as u32;
+                        let r = self.alloc_slow(&mut stack, base, $site, head, fields, $disc);
+                        stalled = self.threads[cur].stalled;
+                        match r {
+                            Ok(Some(p)) => p,
+                            Ok(None) => break Exit::Blocked($site),
+                            Err(e) => break Exit::Fault(e),
+                        }
+                    }
+                };
+                set!($dst, ptr);
+            }};
+        }
+
+        let exit = loop {
+            let ins = &code[pc];
+            if stop && ins.site().is_some() {
+                break Exit::Safepoint;
+            }
+            if stalled {
+                // A runaway-fault thread burns its instructions without
+                // making progress; only a deadline/fuel budget or the
+                // step limit can end it.
+                left = 0;
+                break Exit::Budget;
+            }
+            if left == 0 {
+                break Exit::Budget;
+            }
+            left -= 1;
+            match ins {
+                Instr::LoadInt(d, n) => set!(d, enc.int(*n)),
+                Instr::LoadBool(d, b) => set!(d, enc.bool(*b)),
+                Instr::LoadUnit(d) => set!(d, enc.unit()),
+                Instr::LoadGlobal(d, g) => set!(d, self.globals[g.0 as usize]),
+                Instr::StoreGlobal(g, s) => self.globals[g.0 as usize] = get!(s),
+                Instr::Move(d, s) => set!(d, get!(s)),
+                Instr::Arith(d, op, a, b) => {
+                    let x = enc.int_of(get!(a));
+                    let y = enc.int_of(get!(b));
+                    let (kind, val) = match op {
+                        ArithOp::Add => (ArithKind::Add, Some(x.wrapping_add(y))),
+                        ArithOp::Sub => (ArithKind::Sub, Some(x.wrapping_sub(y))),
+                        ArithOp::Mul => (ArithKind::Mul, Some(x.wrapping_mul(y))),
+                        ArithOp::Div => (ArithKind::Div, x.checked_div(y)),
+                        ArithOp::Mod => (ArithKind::Mod, x.checked_rem(y)),
+                    };
+                    let Some(val) = val else {
+                        break Exit::Fault(VmError::DivideByZero {
+                            function: prog.fun(fn_id).name.clone(),
+                        });
+                    };
+                    self.mutator.tag_ops += enc.arith_tag_ops(kind);
+                    set!(d, enc.int(val));
+                }
+                Instr::Cmp(d, op, a, b) => {
+                    let x = enc.int_of(get!(a));
+                    let y = enc.int_of(get!(b));
+                    let r = match op {
+                        CmpOp::Eq => x == y,
+                        CmpOp::Ne => x != y,
+                        CmpOp::Lt => x < y,
+                        CmpOp::Le => x <= y,
+                        CmpOp::Gt => x > y,
+                        CmpOp::Ge => x >= y,
+                    };
+                    self.mutator.tag_ops += enc.arith_tag_ops(ArithKind::Cmp);
+                    set!(d, enc.bool(r));
+                }
+                Instr::Neg(d, a) => {
+                    let x = enc.int_of(get!(a));
+                    self.mutator.tag_ops += enc.arith_tag_ops(ArithKind::Neg);
+                    set!(d, enc.int(x.wrapping_neg()));
+                }
+                Instr::Not(d, a) => set!(d, enc.bool(!enc.bool_of(get!(a)))),
+                Instr::Jump(t) => {
+                    pc = *t as usize;
+                    continue;
+                }
+                Instr::BranchFalse(s, t) => {
+                    if !enc.bool_of(get!(s)) {
+                        pc = *t as usize;
+                        continue;
+                    }
+                }
+                Instr::BranchIntNe(s, n, t) => {
+                    if enc.int_of(get!(s)) != *n {
+                        pc = *t as usize;
+                        continue;
+                    }
+                }
+                Instr::BranchTagNe {
+                    obj,
+                    data,
+                    ctor,
+                    target,
+                } => {
+                    if !self.value_matches_ctor(get!(obj), prog.ctor_rep(*data, *ctor)) {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                Instr::GetField(d, o, i) => set!(d, self.heap_field(get!(o), *i)),
+                Instr::MakeTuple { dst, elems, site } => alloc!(dst, *site, None, elems, false),
+                Instr::MakeData {
+                    dst,
+                    data,
+                    ctor,
+                    fields,
+                    site,
+                } => {
+                    let tag_word = match prog.ctor_rep(*data, *ctor) {
+                        CtorRep::Ptr { tag: Some(t), .. } => Some(self.encode_tag(t)),
+                        CtorRep::Ptr { tag: None, .. } => None,
+                        CtorRep::Imm(_) => {
+                            unreachable!("immediate constructors lower to LoadInt")
+                        }
+                    };
+                    alloc!(dst, *site, tag_word, fields, tag_word.is_some())
+                }
+                Instr::MakeClosure {
+                    dst,
+                    f,
+                    captures,
+                    site,
+                } => alloc!(dst, *site, Some(self.encode_fn_id(*f)), captures, false),
+                Instr::EvalDesc { dst, template } => {
+                    self.mutator.desc_evals += 1;
+                    // Resolve parameter descriptors from this frame's
+                    // descriptor slots.
+                    let params = &prog.fun(fn_id).desc_param_slots;
+                    let slots = &stack[base..];
+                    let id = self.descs.eval_type(prog.desc_template(*template), &|p| {
+                        params
+                            .iter()
+                            .find(|(q, _)| *q == p)
+                            .map(|(_, s)| DescId(decode_desc_word(enc, slots[s.0 as usize])))
+                    });
+                    set!(dst, self.encode_desc_word(id.0));
+                }
+                Instr::CallDirect { dst, f, args, site } => {
+                    self.mutator.calls += 1;
+                    // Arguments go from the caller's slots straight into
+                    // the new frame.
+                    let pushed =
+                        self.push_frame(&mut stack, fp, *f, *site, *dst, args.len(), |st, i| {
+                            st[base + args[i].0 as usize]
+                        });
+                    match pushed {
+                        Ok(new_fp) => fp = new_fp,
+                        Err(e) => break Exit::Fault(e),
+                    }
+                    base = fp + FRAME_HDR;
+                    fn_id = *f;
+                    code = &prog.fun(fn_id).code;
+                    pc = 0;
+                    continue;
+                }
+                Instr::CallClosure {
+                    dst,
+                    clos,
+                    arg,
+                    site,
+                } => {
+                    self.mutator.closure_calls += 1;
+                    let cw = get!(clos);
+                    let aw = get!(arg);
+                    let f = FnId(self.decode_fn_id(self.heap_field(cw, 0)));
+                    let pushed = self.push_frame(&mut stack, fp, f, *site, *dst, 2, |_, i| {
+                        if i == 0 {
+                            cw
+                        } else {
+                            aw
+                        }
+                    });
+                    match pushed {
+                        Ok(new_fp) => fp = new_fp,
+                        Err(e) => break Exit::Fault(e),
+                    }
+                    base = fp + FRAME_HDR;
+                    fn_id = f;
+                    code = &prog.fun(fn_id).code;
+                    pc = 0;
+                    continue;
+                }
+                Instr::Return(s) => {
+                    let w = get!(s);
+                    let saved = stack[fp];
+                    if saved == NO_FP {
+                        stack.clear();
+                        self.threads[cur].result = Some(w);
+                        break Exit::Done(w);
+                    }
+                    let (site, dst) = tfgc_gc::unpack_ret(stack[fp + 1]);
+                    stack.truncate(fp);
+                    fp = saved as usize;
+                    base = fp + FRAME_HDR;
+                    // Resume after the call — the paper's `jmpl %o7+12`
+                    // skipping the gc_word (ours lives in a side table
+                    // keyed by the site).
+                    let cs = prog.site(site);
+                    fn_id = cs.fn_id;
+                    code = &prog.fun(fn_id).code;
+                    pc = cs.pc as usize + 1;
+                    set!(dst, w);
+                    continue;
+                }
+                Instr::Print(s) => self.printed.push(enc.int_of(get!(s))),
+                Instr::MatchFail => {
+                    break Exit::Fault(VmError::MatchFailure {
+                        function: prog.fun(fn_id).name.clone(),
+                    })
+                }
+            }
+            pc += 1;
+        };
+        let t = &mut self.threads[cur];
+        t.stack = stack;
+        t.fp = fp;
+        t.fn_id = fn_id;
+        t.pc = pc as u32;
+        (exit, budget - left)
+    }
+
+    /// Pushes a callee frame onto `stack` above the caller frame at `fp`:
+    /// dynamic link, return word (the gc_word key), slots. Slot
+    /// `i < n_args` receives `arg(stack, i)`, read before the push.
+    /// Returns the new frame pointer.
+    #[allow(clippy::too_many_arguments)]
     fn push_frame(
         &mut self,
+        stack: &mut Vec<Word>,
+        fp: usize,
         callee: FnId,
         site: CallSiteId,
         dst: Slot,
-        args: &[Word],
-    ) -> VmResult<()> {
-        let f = self.prog.fun(callee);
-        let init = self.frame_fill();
-        let max = self.cfg.max_stack_words;
-        let init_frames = self.cfg.strategy.requires_frame_init();
-        let n_slots = f.slots.len();
-        let t = self.th_mut();
-        let new_fp = t.stack.len();
-        if new_fp + FRAME_HDR + n_slots > max {
-            return Err(VmError::StackOverflow {
-                words: t.stack.len(),
-            });
+        n_args: usize,
+        arg: impl Fn(&[Word], usize) -> Word,
+    ) -> VmResult<usize> {
+        let n_slots = self.prog.fun(callee).slots.len();
+        let new_fp = stack.len();
+        if new_fp + FRAME_HDR + n_slots > self.cfg.max_stack_words {
+            return Err(VmError::StackOverflow { words: new_fp });
         }
-        let old_fp = t.fp as Word;
-        t.stack.push(old_fp);
-        t.stack.push(pack_ret(site, dst));
-        for i in 0..n_slots {
-            t.stack.push(if i < args.len() { args[i] } else { init });
+        stack.push(fp as Word);
+        stack.push(pack_ret(site, dst));
+        for i in 0..n_args {
+            let w = arg(stack, i);
+            stack.push(w);
         }
-        t.fp = new_fp;
-        t.fn_id = callee;
-        t.pc = 0;
-        let depth = t.stack.len() as u64;
-        if init_frames {
-            self.mutator.frame_init_stores += (n_slots - args.len()) as u64;
+        stack.resize(new_fp + FRAME_HDR + n_slots, self.frame_fill());
+        if self.cfg.strategy.requires_frame_init() {
+            self.mutator.frame_init_stores += (n_slots - n_args) as u64;
         }
-        self.mutator.max_stack_words = self.mutator.max_stack_words.max(depth);
-        Ok(())
+        self.mutator.max_stack_words = self.mutator.max_stack_words.max(stack.len() as u64);
+        Ok(new_fp)
     }
 
-    fn do_return(&mut self, w: Word) -> VmResult<StepEvent> {
-        let prog = self.prog;
-        let t = self.th_mut();
-        let saved = t.stack[t.fp];
-        let ret = t.stack[t.fp + 1];
-        if saved == NO_FP {
-            t.result = Some(w);
-            t.stack.clear();
-            return Ok(StepEvent::Done(w));
-        }
-        let (site, dst) = tfgc_gc::unpack_ret(ret);
-        t.stack.truncate(t.fp);
-        t.fp = saved as usize;
-        let cs = prog.site(site);
-        t.fn_id = cs.fn_id;
-        // Resume after the call — the paper's `jmpl %o7+12` skipping the
-        // gc_word (ours lives in a side table keyed by the site).
-        t.pc = cs.pc + 1;
-        self.set(dst, w);
-        Ok(StepEvent::Continue)
+    /// The collect-and-retry path of an allocation inside the dispatch
+    /// loop, entered with the thread's other registers already stored.
+    /// The collector scans the running thread's stack and may relocate
+    /// the operands, so the stack goes back into the thread and the
+    /// operands into the reused buffer before [`Vm::alloc_object`] runs.
+    fn alloc_slow(
+        &mut self,
+        stack: &mut Vec<Word>,
+        base: usize,
+        site: CallSiteId,
+        head: Option<Word>,
+        fields: &[Slot],
+        head_is_discriminant: bool,
+    ) -> VmResult<Option<Word>> {
+        let mut ops = std::mem::take(&mut self.operands);
+        ops.clear();
+        ops.extend(fields.iter().map(|s| stack[base + s.0 as usize]));
+        std::mem::swap(stack, &mut self.threads[self.cur].stack);
+        let r = self.alloc_object(site, head, &mut ops, head_is_discriminant);
+        std::mem::swap(stack, &mut self.threads[self.cur].stack);
+        self.operands = ops;
+        r
     }
 
     /// Allocates a heap object with optional head word (discriminant or
@@ -790,8 +895,7 @@ impl<'p> Vm<'p> {
         operands: &mut [Word],
         head_is_discriminant: bool,
     ) -> VmResult<Option<Word>> {
-        let payload = operands.len() + usize::from(head.is_some());
-        let total = payload + self.enc.mode.header_words();
+        let total = self.enc.mode.header_words() + usize::from(head.is_some()) + operands.len();
         self.alloc_seq += 1;
         let seq = self.alloc_seq;
 
@@ -871,18 +975,14 @@ impl<'p> Vm<'p> {
                 }
             }
         };
-        let mut off = 0u16;
-        if self.enc.mode.header_words() == 1 {
-            self.heap.write(addr, 0, payload as Word);
-            off = 1;
-        }
-        if let Some(h) = head {
-            self.heap.write(addr, off, h);
-            off += 1;
-        }
-        for (i, w) in operands.iter().enumerate() {
-            self.heap.write(addr, off + i as u16, *w);
-        }
+        write_object(
+            &mut self.heap,
+            self.enc,
+            addr,
+            total,
+            head,
+            operands.iter().copied(),
+        );
         // Discriminant-corruption fault: overwrite the freshly written
         // variant tag with a value matching no constructor. The next
         // trace through this object must fail fast, never mistrace.
@@ -901,13 +1001,17 @@ impl<'p> Vm<'p> {
                 seq,
             });
         }
+        self.emit_alloc(site, total, addr);
+        Ok(Some(self.enc.ptr(addr)))
+    }
+
+    fn emit_alloc(&mut self, site: CallSiteId, total: usize, addr: Addr) {
         self.obs.emit(|t_ns| GcEvent::Alloc {
             t_ns,
             site: site.0,
             words: total as u32,
             addr: addr.0,
         });
-        Ok(Some(self.enc.ptr(addr)))
     }
 
     /// True when the next collection can be a nursery-only (minor)
@@ -1305,6 +1409,31 @@ impl<'p> Vm<'p> {
     /// Renders a result word at the given type (task results).
     pub fn render(&self, w: Word, ty: &tfgc_types::Type) -> String {
         render_value(self.prog, &self.heap, self.enc, w, ty)
+    }
+}
+
+/// Fills a freshly allocated object of `total` words: the size header
+/// (tagged encoding only), the optional head word, then `fields`.
+fn write_object(
+    heap: &mut Heap,
+    enc: Encoding,
+    addr: Addr,
+    total: usize,
+    head: Option<Word>,
+    fields: impl Iterator<Item = Word>,
+) {
+    let hdr = enc.mode.header_words();
+    if hdr == 1 {
+        heap.write(addr, 0, (total - 1) as Word);
+    }
+    let mut k = hdr as u16;
+    if let Some(h) = head {
+        heap.write(addr, k, h);
+        k += 1;
+    }
+    for w in fields {
+        heap.write(addr, k, w);
+        k += 1;
     }
 }
 
