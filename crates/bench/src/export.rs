@@ -300,38 +300,33 @@ fn e9_json() -> Json {
     let src = tfgc::workloads::programs::poly_deep_alloc(depth);
     let c = Compiled::compile(&src).expect("compiles");
 
-    // …and a deep cached-vs-uncached comparison under the forward
-    // strategies: ≥10⁴ frames on the stack at collection time, with
-    // routine construction per collection O(distinct sites) when the
-    // cache is on.
+    // …and deep rows under the forward strategies: ≥10⁴ frames on the
+    // stack at collection time, with routine construction per
+    // collection O(distinct sites).
     let deep_depth = 50_000usize;
     let deep_src = tfgc::workloads::programs::poly_deep_alloc(deep_depth);
     let dc = Compiled::compile(&deep_src).expect("compiles");
     let deep = Json::Arr(
         [Strategy::Compiled, Strategy::Interpreted]
             .iter()
-            .flat_map(|s| {
-                [true, false].map(|cache| {
-                    let out = dc
-                        .run_with(
-                            VmConfig::new(*s)
-                                .heap_words(1 << 21)
-                                .force_gc_every((deep_depth / 2) as u64)
-                                .rt_cache(cache),
-                        )
-                        .expect("deep run");
-                    Json::obj([
-                        ("strategy", Json::str(s.name())),
-                        ("rt_cache", Json::Bool(cache)),
-                        ("result", Json::str(&out.result)),
-                        ("collections", Json::from(out.heap.collections)),
-                        ("frames_visited", Json::from(out.gc.frames_visited)),
-                        ("rt_nodes_built", Json::from(out.gc.rt_nodes_built)),
-                        ("rt_cache_hits", Json::from(out.gc.rt_cache_hits)),
-                        ("rt_cache_misses", Json::from(out.gc.rt_cache_misses)),
-                        ("pause_ns_total", Json::from(out.gc.pause_nanos)),
-                    ])
-                })
+            .map(|s| {
+                let out = dc
+                    .run_with(
+                        VmConfig::new(*s)
+                            .heap_words(1 << 21)
+                            .force_gc_every((deep_depth / 2) as u64),
+                    )
+                    .expect("deep run");
+                Json::obj([
+                    ("strategy", Json::str(s.name())),
+                    ("result", Json::str(&out.result)),
+                    ("collections", Json::from(out.heap.collections)),
+                    ("frames_visited", Json::from(out.gc.frames_visited)),
+                    ("rt_nodes_built", Json::from(out.gc.rt_nodes_built)),
+                    ("rt_cache_hits", Json::from(out.gc.rt_cache_hits)),
+                    ("rt_cache_misses", Json::from(out.gc.rt_cache_misses)),
+                    ("pause_ns_total", Json::from(out.gc.pause_nanos)),
+                ])
             })
             .collect(),
     );
@@ -419,42 +414,25 @@ fn e13_json() -> Json {
     let src = tfgc::workloads::programs::poly_deep_alloc(depth);
     let c = Compiled::compile(&src).expect("compiles");
 
-    // Plans-vs-closures stress rows: a deep polymorphic stack (many
-    // frames, few shapes) and a wide list spine (many objects, one
-    // shape), each under both forward tracing methods with plans on
-    // and off. Pause totals accumulate per mode so the document can
-    // carry a regression verdict for CI.
-    let mut plan_pause = 0u64;
-    let mut walk_pause = 0u64;
-    let mut stress_row = |c: &Compiled, label: &str, s: Strategy, heap: usize, force: u64| {
-        [true, false].map(|plans| {
-            let out = c
-                .run_with(
-                    VmConfig::new(s)
-                        .heap_words(heap)
-                        .force_gc_every(force)
-                        .trace_plans(plans),
-                )
-                .expect("stress run");
-            if plans {
-                plan_pause += out.gc.pause_nanos;
-            } else {
-                walk_pause += out.gc.pause_nanos;
-            }
-            Json::obj([
-                ("workload", Json::str(label)),
-                ("strategy", Json::str(s.name())),
-                ("trace_plans", Json::Bool(plans)),
-                ("result", Json::str(&out.result)),
-                ("collections", Json::from(out.heap.collections)),
-                ("words_copied", Json::from(out.heap.words_copied)),
-                ("desc_bytes_read", Json::from(out.gc.desc_bytes_read)),
-                ("plan_hits", Json::from(out.gc.plan_hits)),
-                ("plan_misses", Json::from(out.gc.plan_misses)),
-                ("plans_compiled", Json::from(out.gc.plans_compiled)),
-                ("pause_ns_total", Json::from(out.gc.pause_nanos)),
-            ])
-        })
+    // Stress rows: a deep polymorphic stack (many frames, few shapes)
+    // and a wide list spine (many objects, one shape), each under both
+    // forward tracing methods.
+    let stress_row = |c: &Compiled, label: &str, s: Strategy, heap: usize, force: u64| {
+        let out = c
+            .run_with(VmConfig::new(s).heap_words(heap).force_gc_every(force))
+            .expect("stress run");
+        Json::obj([
+            ("workload", Json::str(label)),
+            ("strategy", Json::str(s.name())),
+            ("result", Json::str(&out.result)),
+            ("collections", Json::from(out.heap.collections)),
+            ("words_copied", Json::from(out.heap.words_copied)),
+            ("desc_bytes_read", Json::from(out.gc.desc_bytes_read)),
+            ("plan_hits", Json::from(out.gc.plan_hits)),
+            ("plan_misses", Json::from(out.gc.plan_misses)),
+            ("plans_compiled", Json::from(out.gc.plans_compiled)),
+            ("pause_ns_total", Json::from(out.gc.pause_nanos)),
+        ])
     };
     let deep_depth = 50_000usize;
     let deep_src = tfgc::workloads::programs::poly_deep_alloc(deep_depth);
@@ -463,29 +441,17 @@ fn e13_json() -> Json {
     let wc = Compiled::compile(&wide_src).expect("compiles");
     let mut stress = Vec::new();
     for s in [Strategy::Compiled, Strategy::Interpreted] {
-        stress.extend(stress_row(&dc, "deep", s, 1 << 21, (deep_depth / 2) as u64));
+        stress.push(stress_row(&dc, "deep", s, 1 << 21, (deep_depth / 2) as u64));
         // sumlist allocates ~3000 cons cells total, so force a
         // collection every 500: each one recopies the growing spine.
-        stress.extend(stress_row(&wc, "wide", s, 1 << 17, 500));
+        stress.push(stress_row(&wc, "wide", s, 1 << 17, 500));
     }
     doc(
         "E13",
-        "trace plans vs closure walks: flattened routines on deep and wide heaps",
+        "trace plans: flattened routines on deep and wide heaps",
         "poly_deep_alloc(2000) / poly_deep_alloc(50000) / sumlist(3000, 40)",
         profiles(&c, 1 << 19, Some((depth / 2) as u64)),
-        vec![
-            ("stress".to_string(), Json::Arr(stress)),
-            // True when the plan path's accumulated stress pauses
-            // exceed the closure walk's by more than 1.5× — the CI gate
-            // greps for `"plan_pause_regression": false`. A generous
-            // margin: single-run pause totals are noisy, and the plan
-            // tier must merely not be a regression, with the honest
-            // comparison living in the wall-clock rows above.
-            (
-                "plan_pause_regression".to_string(),
-                Json::Bool(plan_pause * 2 > walk_pause * 3),
-            ),
-        ],
+        vec![("stress".to_string(), Json::Arr(stress))],
     )
 }
 
@@ -797,7 +763,7 @@ mod tests {
     }
 
     #[test]
-    fn e13_compares_plans_against_closure_walks() {
+    fn e13_reports_plan_reuse() {
         let d = bench_json("E13");
         let profiles = d.get("profiles").unwrap().as_arr().unwrap();
         assert_eq!(profiles.len(), Strategy::ALL.len());
@@ -811,20 +777,13 @@ mod tests {
             }
         }
         let stress = d.get("stress").unwrap().as_arr().unwrap();
-        assert_eq!(stress.len(), 8, "2 workloads × 2 strategies × on/off");
+        assert_eq!(stress.len(), 4, "2 workloads × 2 strategies");
         for row in stress {
-            let plans = matches!(row.get("trace_plans"), Some(Json::Bool(true)));
             let compiled = row.get("plans_compiled").and_then(Json::as_f64).unwrap();
             let hits = row.get("plan_hits").and_then(Json::as_f64).unwrap();
-            if plans {
-                assert!(compiled > 0.0);
-                assert!(hits > compiled, "plans are reused across collections");
-            } else {
-                assert_eq!(compiled, 0.0, "plans off must not lower plans");
-                assert_eq!(hits, 0.0);
-            }
+            assert!(compiled > 0.0);
+            assert!(hits > compiled, "plans are reused across collections");
         }
-        assert!(d.get("plan_pause_regression").is_some());
         // Everything but the pause rows is deterministic.
         let a = deterministic_view(&bench_json("E13"));
         let b = deterministic_view(&d);

@@ -20,10 +20,10 @@
 //!                                          watermark-flap scenarios)
 //! tfml fuzz [FUZZ OPTS]                    differential fuzzing campaign:
 //!                                          generated programs across every
-//!                                          strategy × plans × cache × heap
-//!                                          tier, tagged-oracle snapshots,
-//!                                          seeded faults; findings shrunk
-//!                                          by typed delta-debugging
+//!                                          strategy × heap tier, tagged-
+//!                                          oracle snapshots, seeded faults;
+//!                                          findings shrunk by typed
+//!                                          delta-debugging
 //!
 //! OPTS:
 //!   --strategy S     compiled | compiled-nolive | interpreted | appel | tagged
@@ -35,12 +35,10 @@
 //!                    failing fast on any inconsistency
 //!   --verify-oracle  replay under the tagged collector and require
 //!                    identical reachable graphs at every collection
-//!   --no-trace-plans trace with the nested-closure walk instead of the
-//!                    flattened trace plans (differential baseline)
 //!   --generational   bump-pointer nursery + minor/major cycles (barrier-
 //!                    free: the immutable heap has no old-to-young edges)
-//!   --nursery-words N  nursery size in words (implies --generational;
-//!                    default heap/4)
+//!   --nursery-words N  nursery size in words, at least 1 (implies
+//!                    --generational; default heap/4)
 //!   --promote-after K  survivals before promotion to the tenured
 //!                    generation (default 0 = promote on first survival)
 //!   --trace FILE     write a Chrome-trace-event JSONL file (run/profile)
@@ -55,11 +53,12 @@
 //!   --heap N                  semispace words (default 2048)
 //!   --heap-max N              growth ceiling in words (default 65536)
 //!   --quantum N               instructions per scheduling quantum
+//!                             (at least 1; default 64)
 //!   --window-ms N             steady-state metrics window (default 10)
 //!   --sample-every N          occupancy sample period in quanta (default 32)
-//!   --no-trace-plans          closure-walk tracing (plans differential)
 //!   --generational            nursery + minor/major cycles per strategy
-//!   --nursery-words N         nursery words (implies --generational)
+//!   --nursery-words N         nursery words, at least 1 (implies
+//!                             --generational; default heap/4)
 //!   --promote-after K         survivals before promotion (default 0)
 //!   --json FILE               write the BENCH_SERVE.json document
 //!                             (includes the gated overload section)
@@ -153,8 +152,8 @@ struct Opts {
     trace: Option<String>,
     metrics: Option<String>,
     events: usize,
-    trace_plans: bool,
-    generational: bool,
+    /// Nursery size when the generational tier is on, resolved from
+    /// `--generational` / `--nursery-words` (never `Some(0)`).
     nursery_words: Option<usize>,
     promote_after: u32,
     source: String,
@@ -204,6 +203,20 @@ fn parse_admission(s: &str) -> Result<tfgc::AdmissionPolicy, CliError> {
     })
 }
 
+/// The generational tier's nursery: `--nursery-words`, else a quarter of
+/// the semispace. The heap needs a non-empty nursery.
+fn nursery_size(explicit: Option<usize>, heap_words: usize) -> Result<usize, String> {
+    match explicit {
+        Some(0) => Err("--nursery-words must be at least 1".to_string()),
+        Some(n) => Ok(n),
+        None if heap_words / 4 == 0 => Err(format!(
+            "--generational needs a nursery of at least 1 word: the default \
+             (--heap / 4) is 0 for --heap {heap_words}; raise --heap or pass --nursery-words"
+        )),
+        None => Ok(heap_words / 4),
+    }
+}
+
 fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     let mut strategy = Strategy::Compiled;
     let mut heap = 1usize << 16;
@@ -215,7 +228,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     let mut trace = None;
     let mut metrics = None;
     let mut events = 1usize << 16;
-    let mut trace_plans = true;
     let mut generational = false;
     let mut nursery_words = None;
     let mut promote_after = 0u32;
@@ -251,7 +263,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--stats" => stats = true,
             "--verify-heap" => verify_heap = true,
             "--verify-oracle" => verify_oracle = true,
-            "--no-trace-plans" => trace_plans = false,
             "--generational" => generational = true,
             "--nursery-words" => {
                 i += 1;
@@ -314,6 +325,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         }
         i += 1;
     }
+    let nursery_words = if generational {
+        Some(nursery_size(nursery_words, heap).map_err(usage)?)
+    } else {
+        None
+    };
     Ok(Opts {
         strategy,
         heap,
@@ -325,8 +341,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         trace,
         metrics,
         events,
-        trace_plans,
-        generational,
         nursery_words,
         promote_after,
         source: source.ok_or_else(|| usage("no program given (file path or -e SRC)"))?,
@@ -343,10 +357,11 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         println!(
             "tfml run|profile|disasm|gcmap|analyze|compare [--strategy S] [--heap N] \
              [--force-gc N] [--refined] [--stats] [--verify-heap] [--verify-oracle] \
-             [--trace FILE] [--metrics FILE] [--events N] [--no-trace-plans] <file | -e SRC>\n\
+             [--trace FILE] [--metrics FILE] [--events N] [--generational] \
+             [--nursery-words N] [--promote-after K] <file | -e SRC>\n\
              tfml serve [--strategy S|all] [--requests N] [--pool N] [--seed N] [--heap N] \
              [--heap-max N] [--quantum N] [--window-ms N] [--sample-every N] \
-             [--no-trace-plans] [--json FILE] \
+             [--generational] [--nursery-words N] [--promote-after K] [--json FILE] \
              [--trace FILE] [--slo-p99-latency-ms F] [--slo-p99-pause-ms F] \
              [--deadline-quanta N] [--fuel N] [--queue-cap N] \
              [--admission reject|backoff[:A:B]|degrade[:K]] [--soft-watermark PCT] \
@@ -388,16 +403,12 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
 fn vm_config(opts: &Opts) -> VmConfig {
     let mut cfg = VmConfig::new(opts.strategy)
         .heap_words(opts.heap)
-        .verify_heap(opts.verify_heap)
-        .trace_plans(opts.trace_plans);
+        .verify_heap(opts.verify_heap);
     if let Some(n) = opts.force_gc {
         cfg = cfg.force_gc_every(n);
     }
-    if opts.generational {
-        cfg = cfg.generational(
-            opts.nursery_words.unwrap_or(opts.heap / 4),
-            opts.promote_after,
-        );
+    if let Some(n) = opts.nursery_words {
+        cfg = cfg.generational(n, opts.promote_after);
     }
     cfg
 }
@@ -661,7 +672,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                         .clone(),
                 );
             }
-            "--no-trace-plans" => base.trace_plans = false,
             "--generational" => serve_generational = true,
             "--nursery-words" => {
                 i += 1;
@@ -735,10 +745,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if base.pool == 0 {
         return Err(usage("serve: --pool must be at least 1"));
     }
+    if base.quantum == 0 {
+        return Err(usage("serve: --quantum must be at least 1"));
+    }
     if serve_generational {
         // The nursery defaults to a quarter semispace — small enough
         // that minors actually fire under the default traffic.
-        base.nursery_words = Some(serve_nursery.unwrap_or(base.heap_words / 4));
+        base.nursery_words = Some(
+            nursery_size(serve_nursery, base.heap_words)
+                .map_err(|m| usage(format!("serve: {m}")))?,
+        );
     }
     if base.runaway_every > 0
         && base.overload.deadline_quanta.is_none()
@@ -1044,17 +1060,12 @@ fn cmd_compare(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
         "strategy", "result", "words", "GCs", "copied", "tag-ops", "meta B",
     ]);
     for s in Strategy::ALL {
-        let mut cfg = VmConfig::new(s)
-            .heap_words(opts.heap)
-            .trace_plans(opts.trace_plans);
+        let mut cfg = VmConfig::new(s).heap_words(opts.heap);
         if let Some(n) = opts.force_gc {
             cfg = cfg.force_gc_every(n);
         }
-        if opts.generational {
-            cfg = cfg.generational(
-                opts.nursery_words.unwrap_or(opts.heap / 4),
-                opts.promote_after,
-            );
+        if let Some(n) = opts.nursery_words {
+            cfg = cfg.generational(n, opts.promote_after);
         }
         let out = compiled.run_with(cfg).map_err(|e| format!("{s}: {e}"))?;
         t.row(vec![
@@ -1088,6 +1099,12 @@ mod tests {
             vec!["run", "--events", "1.5", "-e", "1"],
             vec!["serve", "--requests", "many"],
             vec!["serve", "--pool", "0"],
+            vec!["serve", "--quantum", "0"],
+            vec!["serve", "--nursery-words", "0"],
+            vec!["serve", "--generational", "--heap", "2"],
+            vec!["run", "--nursery-words", "0", "-e", "1"],
+            vec!["run", "--generational", "--heap", "2", "-e", "1"],
+            vec!["compare", "--nursery-words", "0", "-e", "1"],
             vec!["serve", "--soft-watermark", "ninety"],
             vec!["serve", "--breaker-threshold", "-3"],
             vec!["torture", "--seeds", "NaN"],

@@ -3,7 +3,7 @@
 //! The collectors' contract is behavioral equivalence: a well-typed
 //! program must produce the same result, the same printed output, and
 //! (versus the tagged oracle) the same reachable graph under every
-//! collection strategy and every metadata configuration, and every
+//! collection strategy and every heap tier, and every
 //! injected fault must degrade gracefully. This crate turns that
 //! contract into a campaign:
 //!
@@ -12,11 +12,11 @@
 //!    (fresh polymorphic datatypes per seed, nested lists/pairs,
 //!    closures and partial application, let-polymorphism, deep
 //!    recursion).
-//! 2. [`campaign::run_campaign`] executes it across every strategy ×
-//!    {trace plans on/off} × {rt cache on/off} × {tiny forced-GC heap,
-//!    default heap} with the heap verifier on, replays it against the
-//!    tagged oracle with node-identity snapshots, and runs it under a
-//!    seeded fault plan. Any divergence, verifier/oracle failure, raw
+//! 2. [`campaign::run_campaign`] executes it under every strategy ×
+//!    {tiny forced-GC heap, tiny-nursery generational heap, default
+//!    heap} with the heap verifier on, replays it against the tagged
+//!    oracle with node-identity snapshots, and runs it under a seeded
+//!    fault plan. Any divergence, verifier/oracle failure, raw
 //!    panic, or non-graceful fault becomes a [`campaign::Finding`].
 //! 3. [`shrink::shrink`] reduces a finding's program by typed
 //!    delta-debugging — dropping helpers and datatypes, replacing

@@ -20,17 +20,17 @@
 //!   pure given their inputs and memoize the same way.
 //!
 //! Correctness: `eval_sx` is a pure function of the template and the
-//! environment, so memoization cannot change any collection outcome —
-//! the workspace's differential tests compare cached and uncached
-//! collections bit-for-bit under every strategy. The cache is owned by
-//! `GcMeta` and persists across collections of a run (results only ever
-//! reference immutable metadata). Disabling it ([`RtCache::enabled`] =
-//! false) routes every call through the plain builders.
+//! environment, so memoization cannot change any collection outcome. The
+//! unit tests below compare memoized results against `eval_sx`, the heap
+//! verifier re-derives every routine through the uncached builders, and
+//! the tagged-collector oracle checks whole collections. The cache is
+//! always on; it is owned by `GcMeta` and persists across collections of
+//! a run (results only ever reference immutable metadata).
 
 use crate::desc::{DescArena, DescId, DescNode};
 use crate::ground::GroundTable;
 use crate::plan::PlanStore;
-use crate::rtval::{desc_to_rt, eval_sx, extract_path, param_lookup, EvalCx, RtBuildStats, RtVal};
+use crate::rtval::{extract_path, param_lookup, EvalCx, RtBuildStats, RtVal};
 use crate::sx::{SxId, SxTable, TypeSx};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -44,9 +44,6 @@ struct RtId(u32);
 /// The collector's memoization state. One per [`crate::meta::GcMeta`].
 #[derive(Debug, Clone)]
 pub struct RtCache {
-    /// When false, every call falls through to the unmemoized builders
-    /// (the differential baseline; `VmConfig::rt_cache(false)`).
-    pub enabled: bool,
     /// Memo lookups that returned a previously computed routine.
     pub hits: u64,
     /// Memo lookups that had to evaluate.
@@ -62,8 +59,8 @@ pub struct RtCache {
     eval_memo: HashMap<(SxId, Box<[RtId]>), RtVal>,
     desc_memo: HashMap<DescId, RtVal>,
     extract_memo: HashMap<(RtId, Box<[u16]>), RtVal>,
-    /// Flat trace plans lowered from interned routine values (the fast
-    /// execution tier on top of this identity layer — see `plan.rs`).
+    /// Flat trace plans lowered from interned routine values — what the
+    /// collector executes, keyed on this identity layer (see `plan.rs`).
     pub plans: PlanStore,
 }
 
@@ -98,10 +95,9 @@ fn ptr_key(v: &RtVal) -> Option<PtrKey> {
 }
 
 impl RtCache {
-    /// An empty, enabled cache.
+    /// An empty cache.
     pub fn new() -> RtCache {
         RtCache {
-            enabled: true,
             hits: 0,
             misses: 0,
             nodes: Vec::new(),
@@ -125,7 +121,8 @@ impl RtCache {
     ///
     /// # Panics
     ///
-    /// Same contract as [`eval_sx`]: out-of-range parameters fail fast.
+    /// Same contract as [`eval_sx`](crate::rtval::eval_sx): out-of-range
+    /// parameters fail fast.
     pub fn eval(
         &mut self,
         sxs: &SxTable,
@@ -134,9 +131,6 @@ impl RtCache {
         stats: &mut RtBuildStats,
         cx: EvalCx,
     ) -> RtVal {
-        if !self.enabled {
-            return eval_sx(sxs.get(id), env, stats, cx);
-        }
         // Leaf templates never allocate and never consult the memo.
         match sxs.get(id) {
             TypeSx::Prim => return RtVal::Const,
@@ -168,7 +162,7 @@ impl RtCache {
         ground: &mut GroundTable,
         cx: EvalCx,
     ) -> RtVal {
-        if !self.enabled || path.is_empty() {
+        if path.is_empty() {
             return extract_path(rt, path, prog, ground, cx);
         }
         let key = (self.rt_id(rt), Box::from(path));
@@ -189,9 +183,6 @@ impl RtCache {
     /// Converts a descriptor, memoized per [`DescId`] (descriptors are
     /// interned and immutable once created).
     pub fn desc(&mut self, arena: &DescArena, id: DescId, stats: &mut RtBuildStats) -> RtVal {
-        if !self.enabled {
-            return desc_to_rt(arena, id, stats);
-        }
         if let Some(v) = self.desc_memo.get(&id) {
             self.hits += 1;
             return v.clone();
@@ -335,6 +326,7 @@ impl Default for RtCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rtval::eval_sx;
     use tfgc_types::LIST_DATA;
 
     fn table_with(sx: TypeSx) -> (SxTable, SxId) {
@@ -420,21 +412,6 @@ mod tests {
             RtVal::Data(LIST_DATA, Rc::new(vec![inner])),
             "environment distinguishes memo entries"
         );
-    }
-
-    #[test]
-    fn disabled_cache_falls_through() {
-        let sx = TypeSx::Data(LIST_DATA, vec![TypeSx::Param(0)]);
-        let (t, id) = table_with(sx);
-        let mut cache = RtCache::new();
-        cache.enabled = false;
-        let mut stats = RtBuildStats::default();
-        for _ in 0..3 {
-            cache.eval(&t, id, &[RtVal::Const], &mut stats, EvalCx::None);
-        }
-        assert_eq!((cache.hits, cache.misses), (0, 0));
-        assert_eq!(stats.nodes_built, 3, "unmemoized path builds per call");
-        assert_eq!(cache.nodes_interned(), 0);
     }
 
     #[test]

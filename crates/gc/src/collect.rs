@@ -16,8 +16,11 @@
 //!   with no caching — the cost Goldberg's forward scheme avoids;
 //!   [`GcStats::chain_steps`] counts it.
 //!
-//! Values are traced through a typed worklist (no recursion in data
-//! depth), so million-element lists collect in constant Rust stack space.
+//! Every value is relocated by executing its lowered trace plan
+//! (`plan.rs`): roots evaluate their routine, look up or lower its plan,
+//! and run it; fields go through a worklist of `(address, offset, plan)`
+//! items (no recursion in data depth), so million-element lists collect
+//! in constant Rust stack space.
 //!
 //! Template evaluation, Figure-3 path extraction, and descriptor
 //! conversion all route through the metadata's [`RtCache`], so a deep
@@ -44,7 +47,6 @@ use std::time::Instant;
 use tfgc_ir::{CallSiteId, CtorRep, IrProgram};
 use tfgc_obs::{CollectionKind, GcEvent, Obs};
 use tfgc_runtime::{Addr, Encoding, Heap, HeapMode, Word, HEAP_BASE};
-use tfgc_types::DataId;
 
 /// One task's activation-record stack (a single-task program has exactly
 /// one; §4's shared-memory tasks each contribute one).
@@ -76,18 +78,12 @@ pub struct MachineRoots<'m> {
     pub operand_stack: usize,
 }
 
-/// A tracing type at collection time: an evaluated routine value, or an
-/// interpreted byte descriptor under an environment.
+/// The input to trace-plan lowering: an evaluated routine value, or a
+/// byte descriptor under an environment.
 #[derive(Debug, Clone)]
-pub(crate) enum WTy {
+enum WTy {
     Rt(RtVal),
-    Bytes {
-        pos: u32,
-        env: Rc<Vec<WTy>>,
-    },
-    /// A lowered trace plan (the fast tier): relocation dispatches
-    /// through the plan interpreter, not the `RtVal` walk.
-    Plan(PlanId),
+    Bytes { pos: u32, env: Rc<Vec<WTy>> },
 }
 
 /// Fail-fast lookup for byte-descriptor parameter environments: a
@@ -107,7 +103,7 @@ fn byte_param(env: &[WTy], i: u16) -> &WTy {
 pub(crate) struct WorkItem {
     addr: Addr,
     off: u16,
-    ty: WTy,
+    plan: PlanId,
     /// Root context the object was first reached from — reported by the
     /// heap-corruption panics so a bad word names its tracing origin.
     origin: EvalCx,
@@ -183,7 +179,6 @@ pub fn collect_tagfree(
     let t0 = Instant::now();
     heap.begin_collection(minor);
     let frames_buf = &mut meta.scratch.frames;
-    let plans_on = meta.rt_cache.plans.enabled;
     let mut cx = Collector {
         prog,
         heap,
@@ -204,7 +199,6 @@ pub fn collect_tagfree(
         build: RtBuildStats::default(),
         work: &mut meta.scratch.work,
         enc: Encoding::new(HeapMode::TagFree),
-        plans_on,
     };
 
     // Globals first: their routines are known statically (§1.1).
@@ -316,10 +310,6 @@ struct Collector<'c> {
     build: RtBuildStats,
     work: &'c mut Vec<WorkItem>,
     enc: Encoding,
-    /// Trace-plan tier enabled (`VmConfig::trace_plans`): root and field
-    /// relocations lower to flat plans and execute through the plan
-    /// interpreter instead of the `RtVal` closure walk.
-    plans_on: bool,
 }
 
 /// Head classification of a pointer-object relocation.
@@ -501,163 +491,27 @@ impl Collector<'_> {
                 TraceOp::SlotBytes { slot, pos } => {
                     let benv: Rc<Vec<WTy>> = Rc::new(env.iter().cloned().map(WTy::Rt).collect());
                     let idx = fr.fp + FRAME_HDR + slot.0 as usize;
-                    stack[idx] = if self.plans_on {
-                        let p = self.plan_for_wty(&WTy::Bytes { pos, env: benv });
-                        self.reloc_plan(stack[idx], p, false)
-                    } else {
-                        self.reloc(stack[idx], &WTy::Bytes { pos, env: benv })
-                    };
+                    let p = self.plan_for_wty(&WTy::Bytes { pos, env: benv });
+                    stack[idx] = self.reloc_plan(stack[idx], p, false);
                 }
             }
         }
     }
 
-    /// Relocates a root word typed by an evaluated routine value, through
-    /// the plan tier when enabled.
+    /// Relocates a root word typed by an evaluated routine value.
     fn reloc_rt_root(&mut self, w: Word, rt: RtVal) -> Word {
-        if self.plans_on {
-            let p = self.plan_for_rt(&rt);
-            self.reloc_plan(w, p, false)
-        } else {
-            self.reloc(w, &WTy::Rt(rt))
-        }
+        let p = self.plan_for_rt(&rt);
+        self.reloc_plan(w, p, false)
     }
 
     fn drain(&mut self) {
         while let Some(item) = self.work.pop() {
             self.cur = item.origin;
             let w = self.heap.read(item.addr, item.off);
-            let nw = self.reloc(w, &item.ty);
+            // A pop re-enters the plan interpreter with the spine loop
+            // enabled: drain order is already the plan's order.
+            let nw = self.reloc_plan(w, item.plan, true);
             self.heap.write(item.addr, item.off, nw);
-        }
-    }
-
-    /// Relocates one value of the given tracing type, returning the new
-    /// word and enqueueing the object's fields.
-    fn reloc(&mut self, w: Word, ty: &WTy) -> Word {
-        match ty {
-            // Plan items only enter the worklist from plan execution, so
-            // a pop re-enters the plan interpreter — with the spine loop
-            // enabled, because drain order is already the plan's order.
-            WTy::Plan(p) => self.reloc_plan(w, *p, true),
-            WTy::Rt(RtVal::Const) => w,
-            WTy::Rt(RtVal::Ground(id)) => {
-                // Cheap: TypeRt payloads sit behind `Rc`.
-                let rt = self.ground.rt(*id).clone();
-                match rt {
-                    TypeRt::Prim => w,
-                    TypeRt::Tuple(fields) => match self.head(w, fields.len()) {
-                        Head::Imm(w) | Head::Done(w) => w,
-                        Head::Copied(new) => {
-                            for (i, f) in fields.iter().enumerate() {
-                                self.push(new, i as u16, WTy::Rt(RtVal::Ground(*f)));
-                            }
-                            self.enc.ptr(new)
-                        }
-                    },
-                    TypeRt::Data { data, variants } => match self.data_head(w, data) {
-                        DataHead::Imm(w) | DataHead::Done(w) => w,
-                        DataHead::Copied { ctor, rep, new } => {
-                            for (i, f) in variants[ctor].fields.iter().enumerate() {
-                                self.push(
-                                    new,
-                                    rep.field_offset(i as u16),
-                                    WTy::Rt(RtVal::Ground(*f)),
-                                );
-                            }
-                            self.enc.ptr(new)
-                        }
-                    },
-                    TypeRt::Arrow(_) => self.reloc_closure(w, RtVal::Ground(*id)),
-                }
-            }
-            WTy::Rt(RtVal::Tuple(fields)) => {
-                let fields = fields.clone();
-                match self.head(w, fields.len()) {
-                    Head::Imm(w) | Head::Done(w) => w,
-                    Head::Copied(new) => {
-                        for (i, f) in fields.iter().enumerate() {
-                            self.push(new, i as u16, WTy::Rt(f.clone()));
-                        }
-                        self.enc.ptr(new)
-                    }
-                }
-            }
-            WTy::Rt(RtVal::Data(d, args)) => {
-                let args = args.clone();
-                match self.data_head(w, *d) {
-                    DataHead::Imm(w) | DataHead::Done(w) => w,
-                    DataHead::Copied { ctor, rep, new } => {
-                        let dv = self.data_variants;
-                        let templates = &dv[d.0 as usize][ctor];
-                        let cx = EvalCx::Data(d.0);
-                        for (i, sx) in templates.iter().enumerate() {
-                            let rt = self.eval_at(*sx, &args, cx);
-                            self.push(new, rep.field_offset(i as u16), WTy::Rt(rt));
-                        }
-                        self.enc.ptr(new)
-                    }
-                }
-            }
-            WTy::Rt(rt @ RtVal::Arrow(_, _)) => self.reloc_closure(w, rt.clone()),
-            WTy::Bytes { pos, env } => {
-                let env = env.clone();
-                match self.pool.parse(*pos, &mut self.stats.desc_bytes_read) {
-                    DescView::Prim => w,
-                    DescView::Param(i) => {
-                        let sub = byte_param(&env, i).clone();
-                        self.reloc(w, &sub)
-                    }
-                    DescView::Tuple(fields) => match self.head(w, fields.len()) {
-                        Head::Imm(w) | Head::Done(w) => w,
-                        Head::Copied(new) => {
-                            for (i, p) in fields.iter().enumerate() {
-                                self.push(
-                                    new,
-                                    i as u16,
-                                    WTy::Bytes {
-                                        pos: *p,
-                                        env: env.clone(),
-                                    },
-                                );
-                            }
-                            self.enc.ptr(new)
-                        }
-                    },
-                    DescView::Data(d, arg_positions) => match self.data_head(w, d) {
-                        DataHead::Imm(w) | DataHead::Done(w) => w,
-                        DataHead::Copied { ctor, rep, new } => {
-                            let arg_env: Rc<Vec<WTy>> = Rc::new(
-                                arg_positions
-                                    .iter()
-                                    .map(|p| self.collapse(*p, &env))
-                                    .collect(),
-                            );
-                            let pool = self.pool;
-                            let fields = &pool.data_fields[d.0 as usize][ctor];
-                            for (i, p) in fields.iter().enumerate() {
-                                self.push(
-                                    new,
-                                    rep.field_offset(i as u16),
-                                    WTy::Bytes {
-                                        pos: *p,
-                                        env: arg_env.clone(),
-                                    },
-                                );
-                            }
-                            self.enc.ptr(new)
-                        }
-                    },
-                    DescView::Arrow(a, b) => {
-                        let ra = self.wty_to_rt(&WTy::Bytes {
-                            pos: a,
-                            env: env.clone(),
-                        });
-                        let rb = self.wty_to_rt(&WTy::Bytes { pos: b, env });
-                        self.reloc_closure(w, RtVal::Arrow(Rc::new(ra), Rc::new(rb)))
-                    }
-                }
-            }
         }
     }
 
@@ -686,11 +540,10 @@ impl Collector<'_> {
         }
     }
 
-    /// Converts a tracing type to a routine value (used when the
-    /// interpreted path meets a closure and needs Figure-3 extraction).
+    /// Converts a tracing type to a routine value (used when a byte
+    /// descriptor meets a closure and needs Figure-3 extraction).
     fn wty_to_rt(&mut self, ty: &WTy) -> RtVal {
         match ty {
-            WTy::Plan(_) => unreachable!("plan items never need routine conversion"),
             WTy::Rt(rt) => rt.clone(),
             WTy::Bytes { pos, env } => {
                 let env = env.clone();
@@ -740,11 +593,11 @@ impl Collector<'_> {
         }
     }
 
-    fn push(&mut self, addr: Addr, off: u16, ty: WTy) {
+    fn push(&mut self, addr: Addr, off: u16, plan: PlanId) {
         self.work.push(WorkItem {
             addr,
             off,
-            ty,
+            plan,
             origin: self.cur,
         });
     }
@@ -765,65 +618,6 @@ impl Collector<'_> {
         self.heap.set_forward(a, new);
         self.copied(a, new, size);
         Head::Copied(new)
-    }
-
-    /// Head handling for datatype values: immediate test, discriminant
-    /// read (§2.3), variant-sized copy.
-    fn data_head(&mut self, w: Word, d: DataId) -> DataHead {
-        if w < HEAP_BASE {
-            return DataHead::Imm(w);
-        }
-        let a = self.enc.addr_of(w);
-        if self.heap.in_to(a) {
-            return DataHead::Done(w);
-        }
-        if let Some(n) = self.heap.forward_of(a) {
-            return DataHead::Done(self.enc.ptr(n));
-        }
-        let reps = &self.prog.ctor_reps[d.0 as usize];
-        let ctor = if reps
-            .iter()
-            .any(|r| matches!(r, CtorRep::Ptr { tag: Some(_), .. }))
-        {
-            let t = self.heap.read(a, 0) as u32;
-            reps.iter()
-                .position(|r| matches!(r, CtorRep::Ptr { tag: Some(tag), .. } if *tag == t))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "heap corruption: discriminant {} at address {} (word {:#x}) matches \
-                         no variant of datatype {} — collection {}, strategy {}, reached \
-                         tracing {}",
-                        t,
-                        a.0,
-                        w,
-                        d.0,
-                        self.seq,
-                        self.strategy.name(),
-                        self.cur
-                    )
-                })
-        } else {
-            reps.iter()
-                .position(|r| matches!(r, CtorRep::Ptr { .. }))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "heap corruption: pointer word {:#x} (address {}) typed as datatype {} \
-                         whose variants are all pointerless — collection {}, strategy {}, \
-                         reached tracing {}",
-                        w,
-                        a.0,
-                        d.0,
-                        self.seq,
-                        self.strategy.name(),
-                        self.cur
-                    )
-                })
-        };
-        let rep = reps[ctor];
-        let new = self.heap.copy_out(a, rep.heap_words());
-        self.heap.set_forward(a, new);
-        self.copied(a, new, rep.heap_words());
-        DataHead::Copied { ctor, rep, new }
     }
 
     /// Emits the per-object copy event (survivor attribution feeds on
@@ -881,19 +675,15 @@ impl Collector<'_> {
         }
         for (off, sx) in &fm.closure_fields {
             let rt = self.eval_at(*sx, &env, cx);
-            if self.plans_on {
-                let p = self.plan_for_rt(&rt);
-                if p != NOOP_PLAN {
-                    self.push(new, *off, WTy::Plan(p));
-                }
-            } else {
-                self.push(new, *off, WTy::Rt(rt));
+            let p = self.plan_for_rt(&rt);
+            if p != NOOP_PLAN {
+                self.push(new, *off, p);
             }
         }
         self.enc.ptr(new)
     }
 
-    // --- the trace-plan tier: lowering ---
+    // --- trace plans: lowering ---
 
     /// The plan for an evaluated routine value, lowering on first sight.
     /// Keyed on the cache's injective identity, so a plan is only ever
@@ -1030,10 +820,8 @@ impl Collector<'_> {
     /// key on `(position, environment fingerprint)`.
     fn plan_for_wty(&mut self, ty: &WTy) -> PlanId {
         match ty {
-            WTy::Plan(p) => *p,
             WTy::Rt(rt) => self.plan_for_rt(rt),
             WTy::Bytes { pos, env } => match self.collapse(*pos, env) {
-                WTy::Plan(p) => p,
                 WTy::Rt(rt) => self.plan_for_rt(&rt),
                 WTy::Bytes { pos, env } => self.plan_for_bytes_head(pos, &env),
             },
@@ -1052,8 +840,8 @@ impl Collector<'_> {
             DescView::Prim => PlanKind::Noop,
             DescView::Param(i) => {
                 // `collapse` resolved parameter chains before keying; a
-                // remaining Param can only mean a torn environment —
-                // surface the same fail-fast panic the walk gives.
+                // remaining Param can only mean a torn environment, which
+                // `byte_param` turns into a fail-fast panic.
                 let sub = byte_param(env, i).clone();
                 let p = self.plan_for_wty(&sub);
                 self.cache.plans.fill(pid, self.cache.plans.kind(p).clone());
@@ -1137,19 +925,22 @@ impl Collector<'_> {
             .map(|e| match e {
                 WTy::Rt(rt) => EnvEntryFp::Rt(self.cache.identity(rt)),
                 WTy::Bytes { pos, env } => EnvEntryFp::Bytes(*pos, self.env_fp(env)),
-                WTy::Plan(p) => EnvEntryFp::Plan(p.0),
             })
             .collect();
         self.cache.plans.intern_env(entries.into())
     }
 
-    // --- the trace-plan tier: execution ---
+    // --- trace plans: execution ---
 
-    /// The plan interpreter: relocates one word under a lowered plan.
-    /// `spine` enables the iterative tail chase — true only when entered
-    /// from the worklist, where drain order already matches loop order;
-    /// at roots the first cell enqueues its tail like any field so
-    /// sibling roots trace in the closure walk's exact sequence.
+    /// The plan interpreter — the collector's only tracing executor —
+    /// relocates one word under a lowered plan. `spine` enables the
+    /// iterative tail chase and is true only when entered from the
+    /// worklist. At a root the first cell enqueues its tail like any other
+    /// field, so the root phase copies exactly one object per root and
+    /// every deeper copy happens in the drain. Chasing a spine at the root
+    /// would instead copy a whole list before the next root's first
+    /// object, changing the copy order and with it every to-space address
+    /// (the event-stream digest in `tests/gc_cache.rs` pins that order).
     fn reloc_plan(&mut self, w: Word, pid: PlanId, spine: bool) -> Word {
         // Cheap head clone (payloads sit behind `Rc`) releasing the
         // store borrow before heap work.
@@ -1175,10 +966,10 @@ impl Collector<'_> {
     fn push_plan_ops(&mut self, new: Addr, ops: &[PlanOp]) {
         for op in ops {
             match *op {
-                PlanOp::SlotAt { offset, plan } => self.push(new, offset, WTy::Plan(plan)),
+                PlanOp::SlotAt { offset, plan } => self.push(new, offset, plan),
                 PlanOp::Fields { base, n, plan } => {
                     for k in 0..n {
-                        self.push(new, base + k, WTy::Plan(plan));
+                        self.push(new, base + k, plan);
                     }
                 }
             }
@@ -1197,9 +988,9 @@ impl Collector<'_> {
         variants: &[VariantPlan],
         spine: bool,
     ) -> Word {
-        let (mut vi, first) = match self.plan_data_head(w, data, tagged, variants) {
-            PlanDataHead::Imm(w) | PlanDataHead::Done(w) => return w,
-            PlanDataHead::Copied { vi, new } => (vi, new),
+        let (mut vi, first) = match self.data_head(w, data, tagged, variants) {
+            DataHead::Imm(w) | DataHead::Done(w) => return w,
+            DataHead::Copied { vi, new } => (vi, new),
         };
         let result = self.enc.ptr(first);
         let mut new = first;
@@ -1210,19 +1001,18 @@ impl Collector<'_> {
             self.push_plan_ops(new, &ops);
             let Some(tail_off) = tail else { break };
             if !spine {
-                // Root position: enqueue the tail like any field so the
-                // drain interleaves identically with sibling roots; the
-                // pop re-enters this plan with the loop enabled.
-                self.push(new, tail_off, WTy::Plan(pid));
+                // Root position: enqueue the tail like any field; the pop
+                // re-enters this plan with the loop enabled.
+                self.push(new, tail_off, pid);
                 break;
             }
             let tw = self.heap.read(new, tail_off);
-            match self.plan_data_head(tw, data, tagged, variants) {
-                PlanDataHead::Imm(x) | PlanDataHead::Done(x) => {
+            match self.data_head(tw, data, tagged, variants) {
+                DataHead::Imm(x) | DataHead::Done(x) => {
                     self.heap.write(new, tail_off, x);
                     break;
                 }
-                PlanDataHead::Copied { vi: nvi, new: nnew } => {
+                DataHead::Copied { vi: nvi, new: nnew } => {
                     self.heap.write(new, tail_off, self.enc.ptr(nnew));
                     vi = nvi;
                     new = nnew;
@@ -1232,24 +1022,25 @@ impl Collector<'_> {
         result
     }
 
-    /// Head classification under a pre-resolved variant table — the
-    /// discriminant decode of `data_head` without touching `ctor_reps`.
-    fn plan_data_head(
+    /// Head handling for datatype values under a pre-resolved variant
+    /// table: immediate test, discriminant read (§2.3), variant-sized
+    /// copy.
+    fn data_head(
         &mut self,
         w: Word,
         data: u32,
         tagged: bool,
         variants: &[VariantPlan],
-    ) -> PlanDataHead {
+    ) -> DataHead {
         if w < HEAP_BASE {
-            return PlanDataHead::Imm(w);
+            return DataHead::Imm(w);
         }
         let a = self.enc.addr_of(w);
         if self.heap.in_to(a) {
-            return PlanDataHead::Done(w);
+            return DataHead::Done(w);
         }
         if let Some(n) = self.heap.forward_of(a) {
-            return PlanDataHead::Done(self.enc.ptr(n));
+            return DataHead::Done(self.enc.ptr(n));
         }
         let vi = if tagged {
             let t = self.heap.read(a, 0) as u32;
@@ -1290,23 +1081,13 @@ impl Collector<'_> {
         let new = self.heap.copy_out(a, words);
         self.heap.set_forward(a, new);
         self.copied(a, new, words);
-        PlanDataHead::Copied { vi, new }
+        DataHead::Copied { vi, new }
     }
 }
 
+/// Head classification of a datatype relocation; the variant is resolved
+/// to an index into the plan's variant table.
 enum DataHead {
-    Imm(Word),
-    Done(Word),
-    Copied {
-        ctor: usize,
-        rep: CtorRep,
-        new: Addr,
-    },
-}
-
-/// [`DataHead`]'s plan-tier twin: the variant is already resolved to an
-/// index into the plan's variant table.
-enum PlanDataHead {
     Imm(Word),
     Done(Word),
     Copied { vi: usize, new: Addr },

@@ -17,7 +17,8 @@
 //! * [`collect_tagged`] — the tagged ML baseline (§1).
 //! * [`plan`] — flat trace plans: routines and descriptors lowered once
 //!   into linear op arrays with offsets and discriminant tables
-//!   pre-resolved, executed by a tight interpreter loop.
+//!   pre-resolved, executed by a tight interpreter loop (the
+//!   collector's only tracing path).
 //! * [`desc`] — interned runtime type descriptors: the completion
 //!   mechanism for polymorphic captures the 1991 scheme cannot recover
 //!   (see DESIGN.md).

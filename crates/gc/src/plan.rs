@@ -1,11 +1,11 @@
-//! Flat **trace plans** — branch-free lowering of GC routines.
+//! Flat **trace plans** — branch-free lowering of GC routines, and the
+//! collector's only tracing executor.
 //!
-//! The closure walk in `collect.rs` re-dispatches on [`RtVal`] variants
-//! (and re-parses byte descriptors) for every object it relocates. E11
-//! showed that this execution shape, not metadata construction, is what
-//! separates the interpreted walk (p99 pause 3.2 ms) from compiled
-//! descriptors (88 µs). A [`TracePlan`] removes the per-object dispatch:
-//! each routine value — identified by its injective [`RtCache`] fingerprint
+//! Walking [`RtVal`] trees (and re-parsing byte descriptors) for every
+//! relocated object re-dispatches per object. E11 showed that this
+//! execution shape, not metadata construction, is what separated the
+//! interpreted walk (p99 pause 3.2 ms) from compiled descriptors
+//! (88 µs). A plan removes the per-object dispatch: each routine value — identified by its injective [`RtCache`] fingerprint
 //! — and each interned byte descriptor — identified by
 //! `(pool position, environment fingerprint)` — is lowered **once** into a
 //! compact linear plan with every field offset and discriminant table
@@ -34,8 +34,8 @@
 //! distinct routines sharing a sub-`Rc` could collapse to one fingerprint
 //! — caching plans on that identity would have executed the wrong plan,
 //! exactly the wrong-memo-hit corruption the headline bugfix closes.
-//! `VmConfig::trace_plans(false)` routes everything through the original
-//! closure walk; the differential suite proves both paths bit-identical.
+//! The tagged-collector oracle (`tfgc::oracle_check`) checks plan
+//! execution against an independent, tag-driven trace.
 
 use crate::rtval::RtVal;
 use std::collections::HashMap;
@@ -50,8 +50,8 @@ pub struct PlanId(pub u32);
 pub const NOOP_PLAN: PlanId = PlanId(0);
 
 /// One step of a plan: which word(s) of a freshly copied object to trace,
-/// and with which plan. Ops are stored in the closure walk's push order so
-/// plan execution drains the worklist in the identical sequence.
+/// and with which plan. Ops are stored in field order, the order in which
+/// they are pushed onto the worklist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// Trace the single word at `offset`.
@@ -114,8 +114,6 @@ pub enum EnvEntryFp {
     Rt(u32),
     /// A byte descriptor under an interned environment.
     Bytes(u32, EnvId),
-    /// An already-lowered plan (worklist items re-fingerprinted; rare).
-    Plan(u32),
 }
 
 /// Interned byte-descriptor environment id.
@@ -127,9 +125,6 @@ pub struct EnvId(pub u32);
 /// plans only reference immutable program metadata.
 #[derive(Debug, Clone)]
 pub struct PlanStore {
-    /// When false the collectors use the original closure walk (the
-    /// differential baseline; `VmConfig::trace_plans(false)`).
-    pub enabled: bool,
     /// Plan lookups that found a compiled (or in-compilation) plan.
     pub hits: u64,
     /// Plan lookups that had to lower.
@@ -144,10 +139,9 @@ pub struct PlanStore {
 }
 
 impl PlanStore {
-    /// An empty, enabled store holding only [`NOOP_PLAN`].
+    /// An empty store holding only [`NOOP_PLAN`].
     pub fn new() -> PlanStore {
         PlanStore {
-            enabled: true,
             hits: 0,
             misses: 0,
             compiled: 0,
