@@ -27,7 +27,7 @@
 //!
 //! OPTS:
 //!   --strategy S     compiled | compiled-nolive | interpreted | appel | tagged
-//!   --heap N         semispace words (default 65536)
+//!   --heap N         semispace words (default 65536, at most 2^28)
 //!   --force-gc N     force a collection every N allocations
 //!   --refined        use the closure-flow-refined GC-point analysis
 //!   --stats          print run statistics
@@ -37,7 +37,7 @@
 //!                    identical reachable graphs at every collection
 //!   --generational   bump-pointer nursery + minor/major cycles (barrier-
 //!                    free: the immutable heap has no old-to-young edges)
-//!   --nursery-words N  nursery size in words, at least 1 (implies
+//!   --nursery-words N  nursery size in words, 1 to 2^28 (implies
 //!                    --generational; default heap/4)
 //!   --promote-after K  survivals before promotion to the tenured
 //!                    generation (default 0 = promote on first survival)
@@ -50,14 +50,14 @@
 //!   --requests N              requests to drain (default 400)
 //!   --pool N                  concurrent pool slots (default 4)
 //!   --seed N                  traffic-mix seed (default 1)
-//!   --heap N                  semispace words (default 2048)
+//!   --heap N                  semispace words (default 2048, at most 2^28)
 //!   --heap-max N              growth ceiling in words (default 65536)
 //!   --quantum N               instructions per scheduling quantum
 //!                             (at least 1; default 64)
 //!   --window-ms N             steady-state metrics window (default 10)
 //!   --sample-every N          occupancy sample period in quanta (default 32)
 //!   --generational            nursery + minor/major cycles per strategy
-//!   --nursery-words N         nursery words, at least 1 (implies
+//!   --nursery-words N         nursery words, 1 to 2^28 (implies
 //!                             --generational; default heap/4)
 //!   --promote-after K         survivals before promotion (default 0)
 //!   --json FILE               write the BENCH_SERVE.json document
@@ -204,11 +204,12 @@ fn parse_admission(s: &str) -> Result<tfgc::AdmissionPolicy, CliError> {
 }
 
 /// The generational tier's nursery: `--nursery-words`, else a quarter of
-/// the semispace. The heap needs a non-empty nursery.
+/// the semispace. The heap needs a non-empty nursery no larger than
+/// [`tfgc::MAX_HEAP_WORDS`].
 fn nursery_size(explicit: Option<usize>, heap_words: usize) -> Result<usize, String> {
     match explicit {
         Some(0) => Err("--nursery-words must be at least 1".to_string()),
-        Some(n) => Ok(n),
+        Some(n) => tfgc::check_space_words("--nursery-words", n).map(|()| n),
         None if heap_words / 4 == 0 => Err(format!(
             "--generational needs a nursery of at least 1 word: the default \
              (--heap / 4) is 0 for --heap {heap_words}; raise --heap or pass --nursery-words"
@@ -325,6 +326,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         }
         i += 1;
     }
+    tfgc::check_space_words("--heap", heap).map_err(usage)?;
     let nursery_words = if generational {
         Some(nursery_size(nursery_words, heap).map_err(usage)?)
     } else {
@@ -748,6 +750,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if base.quantum == 0 {
         return Err(usage("serve: --quantum must be at least 1"));
     }
+    tfgc::check_space_words("--heap", base.heap_words).map_err(|m| usage(format!("serve: {m}")))?;
     if serve_generational {
         // The nursery defaults to a quarter semispace — small enough
         // that minors actually fire under the default traffic.
@@ -1105,6 +1108,11 @@ mod tests {
             vec!["run", "--nursery-words", "0", "-e", "1"],
             vec!["run", "--generational", "--heap", "2", "-e", "1"],
             vec!["compare", "--nursery-words", "0", "-e", "1"],
+            vec!["run", "--heap", "999999999999", "-e", "1"],
+            vec!["run", "--nursery-words", "999999999999", "-e", "1"],
+            vec!["profile", "--heap", "268435457", "-e", "1"],
+            vec!["serve", "--heap", "999999999999"],
+            vec!["serve", "--nursery-words", "999999999999"],
             vec!["serve", "--soft-watermark", "ninety"],
             vec!["serve", "--breaker-threshold", "-3"],
             vec!["torture", "--seeds", "NaN"],

@@ -31,7 +31,7 @@ pub mod report;
 pub mod serve;
 pub mod torture;
 
-pub use pipeline::{compile_and_run, CompileError, Compiled};
+pub use pipeline::{check_space_words, compile_and_run, CompileError, Compiled, MAX_HEAP_WORDS};
 pub use profile::{metrics_json, profile_report, site_label};
 pub use report::{ratio, Table};
 pub use serve::{

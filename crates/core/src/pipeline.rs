@@ -18,6 +18,29 @@ pub enum CompileError {
     Lower(tfgc_ir::LowerError),
 }
 
+/// The largest semispace or nursery, in words, that `tfml` and [`serve`]
+/// accept: 2^28 words (2 GiB). Both semispaces and the nursery are
+/// allocated when the machine is built, so a size the allocator cannot
+/// satisfy would abort the process instead of reporting an error.
+///
+/// [`serve`]: crate::serve
+pub const MAX_HEAP_WORDS: usize = 1 << 28;
+
+/// Refuses a heap or nursery size above [`MAX_HEAP_WORDS`]; `what` names
+/// the size in the message.
+///
+/// # Errors
+///
+/// A message naming `what`, its value and the cap.
+pub fn check_space_words(what: &str, words: usize) -> Result<(), String> {
+    if words > MAX_HEAP_WORDS {
+        return Err(format!(
+            "{what} of {words} words is above the cap of {MAX_HEAP_WORDS} words"
+        ));
+    }
+    Ok(())
+}
+
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

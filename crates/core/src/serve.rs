@@ -34,7 +34,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::pipeline::Compiled;
+use crate::pipeline::{check_space_words, Compiled};
 use crate::report::Table;
 use tfgc_gc::Strategy;
 use tfgc_obs::{Json, Obs, ServeRecorder};
@@ -246,15 +246,23 @@ pub struct ServeRun {
 ///
 /// # Errors
 ///
-/// A zero `quantum` or a `Some(0)` nursery is refused up front (the
-/// scheduler would never advance; the heap needs a non-empty nursery).
-/// Compile errors and whole-machine VM errors render as strings.
+/// A zero `quantum`, a `Some(0)` nursery, and a heap or nursery above
+/// [`MAX_HEAP_WORDS`] are refused up front (the scheduler would never
+/// advance; the heap needs a non-empty nursery; the allocation could
+/// abort the process). Compile errors and whole-machine VM errors
+/// render as strings.
+///
+/// [`MAX_HEAP_WORDS`]: crate::MAX_HEAP_WORDS
 pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
     if cfg.quantum == 0 {
         return Err("serve: quantum must be at least 1 instruction".to_string());
     }
     if cfg.nursery_words == Some(0) {
         return Err("serve: nursery must be at least 1 word".to_string());
+    }
+    check_space_words("heap", cfg.heap_words).map_err(|m| format!("serve: {m}"))?;
+    if let Some(n) = cfg.nursery_words {
+        check_space_words("nursery", n).map_err(|m| format!("serve: {m}"))?;
     }
     let c = Compiled::compile(SERVICE_SRC).map_err(|e| format!("service program: {e}"))?;
     let mut traffic = build_traffic(&c.program, cfg.seed, cfg.requests, &MIX);

@@ -65,10 +65,12 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 use tfgc_gc::{GcStats, Strategy};
-use tfgc_ir::{CallSiteId, FnId, Instr, IrProgram};
+use tfgc_ir::{CallSiteId, FnId, IrProgram};
 use tfgc_obs::{GcEvent, Obs};
 use tfgc_runtime::HeapStats;
-use tfgc_vm::{FaultPlan, MutatorStats, StepEvent, Vm, VmConfig, VmError, VmResult};
+use tfgc_vm::{
+    FaultPlan, MutatorStats, SafepointKinds, Safepoints, StepEvent, Vm, VmConfig, VmError, VmResult,
+};
 use tfgc_workloads::rng::SmallRng;
 
 /// When may a task be parked for collection? (§4.)
@@ -88,6 +90,29 @@ pub enum SuspendPolicy {
     /// the addressing modes of some processors to make the test
     /// inexpensive").
     EveryCallRgc,
+}
+
+impl SuspendPolicy {
+    /// The suspension test [`Vm::exec`] makes under this policy: which
+    /// safe points pay for a test, and — while a collection is pending —
+    /// which ones the task parks at.
+    fn safepoints(self, gc_pending: bool) -> Safepoints {
+        let (check, park) = match self {
+            SuspendPolicy::AllocationOnly => (SafepointKinds::ALLOCS, SafepointKinds::ALLOCS),
+            SuspendPolicy::EveryCall => (SafepointKinds::ALL, SafepointKinds::ALL),
+            // The Rgc register folds the test into the call's target
+            // address: zero extra operations.
+            SuspendPolicy::EveryCallRgc => (SafepointKinds::NONE, SafepointKinds::ALL),
+        };
+        Safepoints {
+            check,
+            stop: if gc_pending {
+                park
+            } else {
+                SafepointKinds::NONE
+            },
+        }
+    }
 }
 
 impl fmt::Display for SuspendPolicy {
@@ -633,11 +658,11 @@ pub fn serve_requests_overload(
 fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
     let mut blocked_without_progress = false;
     loop {
-        let (res, ran) = vm.exec(u64::MAX, false);
-        if ran > 0 {
+        let out = vm.exec(u64::MAX, Safepoints::NONE);
+        if out.ran > 0 {
             blocked_without_progress = false;
         }
-        match res? {
+        match out.event? {
             StepEvent::Done(_) => return Ok(()),
             StepEvent::AllocBlocked(site) => {
                 if blocked_without_progress {
@@ -658,6 +683,7 @@ fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
                 }
             }
             StepEvent::Continue => {}
+            StepEvent::Safepoint(_) => unreachable!("no safe point stops"),
         }
     }
 }
@@ -1254,7 +1280,8 @@ impl Scheduler<'_> {
         )
     }
 
-    /// Runs task `i` for up to a quantum, honoring safe-point parking.
+    /// Runs task `i` for up to a quantum, parking it at the first safe
+    /// point its policy allows while a collection is pending.
     /// Budgets are checked first: a request past its deadline (quanta)
     /// or out of fuel (instructions) is quarantined before it runs
     /// again.
@@ -1280,112 +1307,46 @@ impl Scheduler<'_> {
             // will re-mark the task.
             self.blocked_on_alloc[i] = None;
         }
-        let mut left = self.quantum;
-        while left > 0 {
-            // Straight-line stretch: everything up to the next call or
-            // allocation runs in one dispatch loop.
-            let (res, ran) = self.vm.exec(left, true);
-            left -= ran;
-            if self.settle_step(i, res, ran)? {
-                return Ok(());
+        // One dispatch run per quantum. The stop set is exact for all of
+        // it: `gc_pending` turns on mid-quantum only through this task's
+        // own blocked allocation, which ends the run.
+        let pending = self.gc_pending;
+        let out = self.vm.exec(self.quantum, self.policy.safepoints(pending));
+        self.report_checks += out.checks;
+        self.fuel_spent[i] += out.ran;
+        if pending {
+            // The return that finishes a request ends its delay of the
+            // pending collection rather than adding to it.
+            let finished = matches!(out.event, Ok(StepEvent::Done(_)));
+            self.latency += out.ran - u64::from(finished);
+        }
+        match out.event {
+            Ok(StepEvent::Continue) => {}
+            Ok(StepEvent::Done(_)) => self.finish(i, None),
+            Ok(StepEvent::AllocBlocked(site)) => {
+                self.gc_pending = true;
+                self.blocked_on_alloc[i] = Some(site);
+                self.park(i, site);
             }
-            if left == 0 {
-                break;
+            Ok(StepEvent::Safepoint(site)) => {
+                debug_assert!(pending, "a safe-point stop with no collection pending");
+                self.park(i, site);
             }
-            // The next instruction is a safe point. The suspension test
-            // (§4): executed per the policy's cost model.
-            let at_call = matches!(
-                self.vm.current_instr(),
-                Instr::CallDirect { .. } | Instr::CallClosure { .. }
-            );
-            let at_alloc = matches!(
-                self.vm.current_instr(),
-                Instr::MakeTuple { .. } | Instr::MakeData { .. } | Instr::MakeClosure { .. }
-            );
-            match self.policy {
-                SuspendPolicy::AllocationOnly => {
-                    if at_alloc {
-                        self.report_checks += 1;
-                    }
-                }
-                SuspendPolicy::EveryCall => {
-                    if at_call || at_alloc {
-                        self.report_checks += 1;
-                    }
-                }
-                SuspendPolicy::EveryCallRgc => {
-                    // The Rgc register folds the test into the call's
-                    // target address: zero extra operations.
-                }
-            }
-            if self.gc_pending {
-                let safe = match self.policy {
-                    SuspendPolicy::AllocationOnly => at_alloc,
-                    SuspendPolicy::EveryCall | SuspendPolicy::EveryCallRgc => at_call || at_alloc,
-                };
-                if safe {
-                    let site = match self.vm.current_site() {
-                        Some(s) => s,
-                        None => {
-                            return Err(VmError::Internal {
-                                detail: format!(
-                                    "slot {i} parking at an instruction with no call/alloc site"
-                                ),
-                            })
-                        }
-                    };
-                    self.vm.park_thread(thread, site);
-                    self.parked[i] = true;
-                    let task = i as u32;
-                    self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
-                        t_ns,
-                        task,
-                        site: site.0,
-                    });
-                    return Ok(());
-                }
-            }
-            let (res, ran) = self.vm.exec(1, false);
-            left -= 1;
-            if self.settle_step(i, res, ran)? {
-                return Ok(());
-            }
+            Err(e) => self.quarantine(i, e)?,
         }
         Ok(())
     }
 
-    /// Accounts `ran` completed instructions of slot `i` and handles how
-    /// its [`Vm::exec`] ended. Returns `true` when the quantum is over:
-    /// the request finished, blocked on the heap, or was quarantined.
-    fn settle_step(&mut self, i: usize, res: VmResult<StepEvent>, ran: u64) -> VmResult<bool> {
-        self.fuel_spent[i] += ran;
-        if self.gc_pending {
-            // The return that finishes a request ends its delay of the
-            // pending collection rather than adding to it.
-            let finished = matches!(res, Ok(StepEvent::Done(_)));
-            self.latency += ran - u64::from(finished);
-        }
-        match res {
-            Ok(StepEvent::Continue) => Ok(false),
-            Ok(StepEvent::Done(_)) => {
-                self.finish(i, None);
-                Ok(true)
-            }
-            Ok(StepEvent::AllocBlocked(site)) => {
-                self.gc_pending = true;
-                self.blocked_on_alloc[i] = Some(site);
-                self.vm.park_thread(self.tasks[i], site);
-                self.parked[i] = true;
-                let task = i as u32;
-                self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
-                    t_ns,
-                    task,
-                    site: site.0,
-                });
-                Ok(true)
-            }
-            Err(e) => self.quarantine(i, e).map(|()| true),
-        }
+    /// Parks slot `i`'s thread at `site` until the pending collection.
+    fn park(&mut self, i: usize, site: CallSiteId) {
+        self.vm.park_thread(self.tasks[i], site);
+        self.parked[i] = true;
+        let task = i as u32;
+        self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
+            t_ns,
+            task,
+            site: site.0,
+        });
     }
 
     /// Records a per-request error, kills the slot's stack (its heap

@@ -31,7 +31,9 @@ pub mod render;
 pub mod stats;
 
 pub use error::{VmError, VmResult};
-pub use machine::{run_program, RunOutcome, StepEvent, Vm, VmConfig};
+pub use machine::{
+    run_program, ExecOutcome, RunOutcome, SafepointKinds, Safepoints, StepEvent, Vm, VmConfig,
+};
 pub use render::render_value;
 pub use stats::MutatorStats;
 /// Re-exported so VM embedders (scheduler, CLI, torture harness) can

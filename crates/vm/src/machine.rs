@@ -167,6 +167,63 @@ pub enum StepEvent {
     /// is suspended at the allocation site and will re-execute the
     /// instruction after a collection.
     AllocBlocked(CallSiteId),
+    /// The next instruction is a call or an allocation of a kind in the
+    /// [`Safepoints::stop`] set, at this site; it has not run.
+    Safepoint(CallSiteId),
+}
+
+/// A set of safe-point kinds: the two places §4 lets a task be
+/// suspended for collection, procedure calls and allocations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SafepointKinds(u8);
+
+impl SafepointKinds {
+    pub const NONE: SafepointKinds = SafepointKinds(0);
+    /// `CallDirect` and `CallClosure`.
+    pub const CALLS: SafepointKinds = SafepointKinds(1);
+    /// `MakeTuple`, `MakeData` and `MakeClosure`.
+    pub const ALLOCS: SafepointKinds = SafepointKinds(2);
+    pub const ALL: SafepointKinds = SafepointKinds(3);
+
+    fn has(self, kind: SafepointKinds) -> bool {
+        self.0 & kind.0 != 0
+    }
+}
+
+/// What [`Vm::exec`] does on reaching a safe point with budget left: the
+/// suspension test of §4, which the paper makes "effectively free" by
+/// adding the `Rgc` register to every call's target address. Here it is
+/// a flag test inside the dispatch loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Safepoints {
+    /// Kinds whose arrival counts as one suspension check
+    /// ([`ExecOutcome::checks`]).
+    pub check: SafepointKinds,
+    /// Kinds to stop before, with [`StepEvent::Safepoint`].
+    pub stop: SafepointKinds,
+}
+
+impl Safepoints {
+    /// No test at all: the plain dispatch loop of [`Vm::run`] and
+    /// [`Vm::step`].
+    pub const NONE: Safepoints = Safepoints {
+        check: SafepointKinds::NONE,
+        stop: SafepointKinds::NONE,
+    };
+}
+
+/// The result of one [`Vm::exec`] run.
+#[derive(Debug)]
+pub struct ExecOutcome {
+    /// How the run ended.
+    pub event: VmResult<StepEvent>,
+    /// Instructions completed — an instruction that blocks on the heap
+    /// or fails is counted in [`MutatorStats::instructions`] but not
+    /// here.
+    pub ran: u64,
+    /// Safe points of a [`Safepoints::check`] kind reached with budget
+    /// left.
+    pub checks: u64,
 }
 
 /// How a [`Vm::dispatch`] run ended.
@@ -174,8 +231,8 @@ pub enum StepEvent {
 enum Exit {
     /// The budget ran out.
     Budget,
-    /// The next instruction is a call or an allocation.
-    Safepoint,
+    /// The next instruction is a safe point of a stop kind, at this site.
+    Safepoint(CallSiteId),
     /// The thread's bottom frame returned this word.
     Done(Word),
     /// Cooperative mode: the allocation at this site found the heap full.
@@ -329,11 +386,12 @@ impl<'p> Vm<'p> {
     }
 
     /// Builds a fresh bottom frame running `f` with `args` already in
-    /// its first slots (shared by spawn and respawn; accounts the frame
-    /// init stores identically in both).
-    fn make_thread(&mut self, f: FnId, args: &[Word]) -> ThreadState {
+    /// its first slots, in `stack`'s buffer (shared by spawn and respawn;
+    /// accounts the frame init stores identically in both).
+    fn make_thread(&mut self, f: FnId, args: &[Word], mut stack: Vec<Word>) -> ThreadState {
         let fun = self.prog.fun(f);
-        let mut stack = Vec::with_capacity(FRAME_HDR + fun.slots.len());
+        stack.clear();
+        stack.reserve(FRAME_HDR + fun.slots.len());
         stack.push(NO_FP);
         stack.push(MAIN_RET);
         let init = self.frame_fill();
@@ -357,7 +415,7 @@ impl<'p> Vm<'p> {
     /// Spawns a new thread whose bottom frame runs `f` with `args` already
     /// in its first slots. Returns the thread index.
     pub fn spawn_thread(&mut self, f: FnId, args: &[Word]) -> usize {
-        let t = self.make_thread(f, args);
+        let t = self.make_thread(f, args, Vec::new());
         self.threads.push(t);
         self.threads.len() - 1
     }
@@ -367,6 +425,8 @@ impl<'p> Vm<'p> {
     /// and result are replaced in place, so the collector's root scan
     /// stays proportional to the pool size rather than the total request
     /// count, and the thread vector never grows during a service run.
+    /// The new frame goes into the old stack's buffer, so a request
+    /// allocates no stack of its own.
     ///
     /// # Panics
     ///
@@ -379,7 +439,8 @@ impl<'p> Vm<'p> {
             old.result.is_some() || old.stack.is_empty(),
             "thread {i} is still running; respawn would drop live frames"
         );
-        self.threads[i] = self.make_thread(f, args);
+        let stack = std::mem::take(&mut self.threads[i].stack);
+        self.threads[i] = self.make_thread(f, args, stack);
     }
 
     /// Number of threads (including finished ones).
@@ -458,7 +519,7 @@ impl<'p> Vm<'p> {
     /// Runs thread 0 to completion.
     pub fn run(&mut self) -> VmResult<RunOutcome> {
         loop {
-            match self.exec(u64::MAX, false).0? {
+            match self.exec(u64::MAX, Safepoints::NONE).event? {
                 StepEvent::Done(w) => {
                     let result =
                         render_value(self.prog, &self.heap, self.enc, w, &self.prog.main_ty);
@@ -475,6 +536,7 @@ impl<'p> Vm<'p> {
                 StepEvent::AllocBlocked(_) => {
                     unreachable!("non-cooperative mode collects inline")
                 }
+                StepEvent::Safepoint(_) => unreachable!("no safe point stops"),
                 StepEvent::Continue => {}
             }
         }
@@ -482,45 +544,58 @@ impl<'p> Vm<'p> {
 
     /// Executes one instruction of the current thread.
     pub fn step(&mut self) -> VmResult<StepEvent> {
-        self.exec(1, false).0
+        self.exec(1, Safepoints::NONE).event
     }
 
     /// The dispatch loop: runs up to `budget` instructions of the current
-    /// thread. Returns how the run ended and how many instructions
-    /// completed — an instruction that blocks on the heap or fails is
-    /// counted in [`MutatorStats::instructions`] but not here.
+    /// thread, making the suspension test `safepoints` asks for at every
+    /// call and allocation reached with budget left.
     ///
-    /// `Continue` means the budget ran out or, with
-    /// `stop_before_safepoint`, that the next instruction is a call or an
-    /// allocation (the scheduler's suspension points); that instruction
-    /// has not run. `max_steps` is enforced as a remaining budget: the
-    /// run fails with [`VmError::StepLimit`] at exactly the instruction
-    /// a one-at-a-time check would refuse.
-    pub fn exec(&mut self, budget: u64, stop_before_safepoint: bool) -> (VmResult<StepEvent>, u64) {
+    /// `Continue` means the budget ran out; `Safepoint` that the next
+    /// instruction is a safe point of a stop kind, which has not run.
+    /// `max_steps` is enforced as a remaining budget: the run fails with
+    /// [`VmError::StepLimit`] at exactly the instruction a one-at-a-time
+    /// check would refuse.
+    pub fn exec(&mut self, budget: u64, safepoints: Safepoints) -> ExecOutcome {
         let allowed = match self.cfg.max_steps {
             Some(limit) => limit.saturating_sub(self.mutator.instructions),
             None => u64::MAX,
         };
-        let (exit, counted) = self.dispatch(budget.min(allowed), stop_before_safepoint);
+        let capped = budget.min(allowed);
+        // `run()` and `step()` pay no safe-point test: they get the
+        // instance compiled without one.
+        let (exit, counted, checks) = if safepoints == Safepoints::NONE {
+            self.dispatch::<false>(capped, safepoints)
+        } else {
+            self.dispatch::<true>(capped, safepoints)
+        };
         self.mutator.instructions += counted;
-        match exit {
+        let (event, ran) = match exit {
             Exit::Budget if counted < budget => {
                 let limit = self.cfg.max_steps.unwrap_or(u64::MAX);
                 (Err(VmError::StepLimit { limit }), counted)
             }
-            Exit::Budget | Exit::Safepoint => (Ok(StepEvent::Continue), counted),
+            Exit::Budget => (Ok(StepEvent::Continue), counted),
+            Exit::Safepoint(site) => (Ok(StepEvent::Safepoint(site)), counted),
             Exit::Done(w) => (Ok(StepEvent::Done(w)), counted),
             Exit::Blocked(site) => (Ok(StepEvent::AllocBlocked(site)), counted - 1),
             Exit::Fault(e) => (Err(e), counted - 1),
-        }
+        };
+        ExecOutcome { event, ran, checks }
     }
 
     /// The body of [`Vm::exec`] with `budget` already capped by
-    /// `max_steps`. The thread's registers live in locals; the frame is
-    /// re-cached only on call and return, and the stack goes back into
-    /// the thread only for the collect-and-retry path and on exit.
-    /// Returns the exit and the instructions counted.
-    fn dispatch(&mut self, budget: u64, stop: bool) -> (Exit, u64) {
+    /// `max_steps`; `SAFEPOINTS` is false exactly when `sp` is
+    /// [`Safepoints::NONE`]. The thread's registers live in locals; the
+    /// frame is re-cached only on call and return, and the stack goes
+    /// back into the thread only for the collect-and-retry path and on
+    /// exit. Returns the exit, the instructions counted and the
+    /// suspension checks made.
+    fn dispatch<const SAFEPOINTS: bool>(
+        &mut self,
+        budget: u64,
+        sp: Safepoints,
+    ) -> (Exit, u64, u64) {
         let prog = self.prog;
         let enc = self.enc;
         let cur = self.cur;
@@ -533,6 +608,7 @@ impl<'p> Vm<'p> {
         let mut base = fp + FRAME_HDR;
         let mut code: &[Instr] = &prog.fun(fn_id).code;
         let mut left = budget;
+        let mut checks = 0u64;
 
         macro_rules! get {
             ($s:expr) => {
@@ -591,20 +667,46 @@ impl<'p> Vm<'p> {
                 set!($dst, ptr);
             }};
         }
+        // §4's suspension test, made where the paper's `Rgc` makes it: at
+        // the call or allocation itself, which has already been charged
+        // to the budget. Stopping before it gives the charge back.
+        macro_rules! safepoint {
+            ($kind:expr, $site:expr) => {
+                if SAFEPOINTS {
+                    if sp.check.has($kind) {
+                        checks += 1;
+                    }
+                    if sp.stop.has($kind) {
+                        left += 1;
+                        break Exit::Safepoint($site);
+                    }
+                }
+            };
+        }
 
         let exit = loop {
-            let ins = &code[pc];
-            if stop && ins.site().is_some() {
-                break Exit::Safepoint;
+            if left == 0 {
+                break Exit::Budget;
             }
+            let ins = &code[pc];
             if stalled {
                 // A runaway-fault thread burns its instructions without
                 // making progress; only a deadline/fuel budget or the
-                // step limit can end it.
+                // step limit can end it. Stuck at a safe point, it makes
+                // the suspension test once per burned instruction, as if
+                // each had been the call or allocation.
+                if SAFEPOINTS {
+                    if let Some((kind, site)) = safepoint_of(ins) {
+                        if sp.stop.has(kind) {
+                            checks += u64::from(sp.check.has(kind));
+                            break Exit::Safepoint(site);
+                        }
+                        if sp.check.has(kind) {
+                            checks += left;
+                        }
+                    }
+                }
                 left = 0;
-                break Exit::Budget;
-            }
-            if left == 0 {
                 break Exit::Budget;
             }
             left -= 1;
@@ -681,7 +783,10 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Instr::GetField(d, o, i) => set!(d, self.heap_field(get!(o), *i)),
-                Instr::MakeTuple { dst, elems, site } => alloc!(dst, *site, None, elems, false),
+                Instr::MakeTuple { dst, elems, site } => {
+                    safepoint!(SafepointKinds::ALLOCS, *site);
+                    alloc!(dst, *site, None, elems, false)
+                }
                 Instr::MakeData {
                     dst,
                     data,
@@ -689,6 +794,7 @@ impl<'p> Vm<'p> {
                     fields,
                     site,
                 } => {
+                    safepoint!(SafepointKinds::ALLOCS, *site);
                     let tag_word = match prog.ctor_rep(*data, *ctor) {
                         CtorRep::Ptr { tag: Some(t), .. } => Some(self.encode_tag(t)),
                         CtorRep::Ptr { tag: None, .. } => None,
@@ -703,7 +809,10 @@ impl<'p> Vm<'p> {
                     f,
                     captures,
                     site,
-                } => alloc!(dst, *site, Some(self.encode_fn_id(*f)), captures, false),
+                } => {
+                    safepoint!(SafepointKinds::ALLOCS, *site);
+                    alloc!(dst, *site, Some(self.encode_fn_id(*f)), captures, false)
+                }
                 Instr::EvalDesc { dst, template } => {
                     self.mutator.desc_evals += 1;
                     // Resolve parameter descriptors from this frame's
@@ -719,6 +828,7 @@ impl<'p> Vm<'p> {
                     set!(dst, self.encode_desc_word(id.0));
                 }
                 Instr::CallDirect { dst, f, args, site } => {
+                    safepoint!(SafepointKinds::CALLS, *site);
                     self.mutator.calls += 1;
                     // Arguments go from the caller's slots straight into
                     // the new frame.
@@ -742,6 +852,7 @@ impl<'p> Vm<'p> {
                     arg,
                     site,
                 } => {
+                    safepoint!(SafepointKinds::CALLS, *site);
                     self.mutator.closure_calls += 1;
                     let cw = get!(clos);
                     let aw = get!(arg);
@@ -799,7 +910,7 @@ impl<'p> Vm<'p> {
         t.fp = fp;
         t.fn_id = fn_id;
         t.pc = pc as u32;
-        (exit, budget - left)
+        (exit, budget - left, checks)
     }
 
     /// Pushes a callee frame onto `stack` above the caller frame at `fp`:
@@ -1367,15 +1478,10 @@ impl<'p> Vm<'p> {
         self.th().stack.len()
     }
 
-    /// The current instruction of the current thread, if any.
-    pub fn current_instr(&self) -> &Instr {
-        let t = self.th();
-        &self.prog.fun(t.fn_id).code[t.pc as usize]
-    }
-
     /// The current instruction's call site, if it has one.
     pub fn current_site(&self) -> Option<CallSiteId> {
-        self.current_instr().site()
+        let t = self.th();
+        self.prog.fun(t.fn_id).code[t.pc as usize].site()
     }
 
     /// True once the current thread has returned from its bottom frame.
@@ -1411,6 +1517,20 @@ fn write_object(
     for w in fields {
         heap.write(addr, k, w);
         k += 1;
+    }
+}
+
+/// The safe-point kind and site of `ins`, if it is a call or an
+/// allocation.
+fn safepoint_of(ins: &Instr) -> Option<(SafepointKinds, CallSiteId)> {
+    match ins {
+        Instr::CallDirect { site, .. } | Instr::CallClosure { site, .. } => {
+            Some((SafepointKinds::CALLS, *site))
+        }
+        Instr::MakeTuple { site, .. }
+        | Instr::MakeData { site, .. }
+        | Instr::MakeClosure { site, .. } => Some((SafepointKinds::ALLOCS, *site)),
+        _ => None,
     }
 }
 

@@ -22,7 +22,7 @@ fn single_stepping_reaches_done() {
                 break;
             }
             StepEvent::Continue => steps += 1,
-            StepEvent::AllocBlocked(_) => unreachable!(),
+            StepEvent::AllocBlocked(_) | StepEvent::Safepoint(_) => unreachable!(),
         }
         assert!(steps < 100, "tiny program must finish quickly");
     }
@@ -91,6 +91,7 @@ fn cooperative_alloc_block_reexecutes_cleanly() {
                 vm.collect_parked(site).unwrap();
             }
             StepEvent::Continue => {}
+            StepEvent::Safepoint(_) => unreachable!("step() makes no safe-point stops"),
         }
     }
     assert!(blocks > 0, "tiny heap must block at least once");

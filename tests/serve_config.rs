@@ -1,10 +1,12 @@
 //! A service configuration the engine cannot run must come back as an
 //! error, not as a hang or a process abort. A zero quantum never
-//! advances the scheduler's clock, and a zero-word nursery trips the
-//! heap's non-empty-nursery assertion, so `tfgc::serve` refuses both up
-//! front.
+//! advances the scheduler's clock, a zero-word nursery trips the heap's
+//! non-empty-nursery assertion, and a heap or nursery the allocator
+//! cannot satisfy aborts the process when the machine is built, so
+//! `tfgc::serve` refuses all of them up front. `tfml` checks `--heap`
+//! and `--nursery-words` with the same `check_space_words`.
 
-use tfgc::{serve, ServeConfig, Strategy};
+use tfgc::{check_space_words, serve, ServeConfig, Strategy, MAX_HEAP_WORDS};
 
 fn small(strategy: Strategy) -> ServeConfig {
     let mut cfg = ServeConfig::new(strategy);
@@ -25,6 +27,31 @@ fn unrunnable_serve_configs_are_errors() {
         let err = serve(&empty_nursery).expect_err("an empty nursery must be refused");
         assert!(err.contains("nursery"), "{s}: {err}");
     }
+}
+
+#[test]
+fn oversized_heaps_are_errors_not_aborts() {
+    let huge = 999_999_999_999;
+    let mut heap = small(Strategy::Compiled);
+    heap.heap_words = huge;
+    let err = serve(&heap).expect_err("a 999999999999-word heap must be refused");
+    assert!(err.contains("heap") && err.contains("cap"), "{err}");
+
+    let mut nursery = small(Strategy::Compiled);
+    nursery.nursery_words = Some(huge);
+    let err = serve(&nursery).expect_err("a 999999999999-word nursery must be refused");
+    assert!(err.contains("nursery") && err.contains("cap"), "{err}");
+
+    let mut just_over = small(Strategy::Compiled);
+    just_over.heap_words = MAX_HEAP_WORDS + 1;
+    assert!(serve(&just_over).is_err(), "the cap is inclusive");
+
+    assert!(check_space_words("--heap", MAX_HEAP_WORDS).is_ok());
+    let err = check_space_words("--heap", huge).expect_err("above the cap");
+    assert!(
+        err.contains("--heap") && err.contains("999999999999"),
+        "{err}"
+    );
 }
 
 #[test]
