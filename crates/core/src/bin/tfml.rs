@@ -30,7 +30,8 @@
 //!   --heap N         semispace words (default 65536, at most 2^28)
 //!   --force-gc N     force a collection every N allocations
 //!   --refined        use the closure-flow-refined GC-point analysis
-//!   --stats          print run statistics
+//!   --stats          print run statistics (to stderr), ending with the
+//!                    heap memory committed: committed-words N
 //!   --verify-heap    walk the reachable graph after every collection,
 //!                    failing fast on any inconsistency
 //!   --verify-oracle  replay under the tagged collector and require
@@ -51,7 +52,8 @@
 //!   --pool N                  concurrent pool slots (default 4)
 //!   --seed N                  traffic-mix seed (default 1)
 //!   --heap N                  semispace words (default 2048, at most 2^28)
-//!   --heap-max N              growth ceiling in words (default 65536)
+//!   --heap-max N              growth ceiling in words, from --heap to
+//!                             2^28 (default 65536, or --heap if larger)
 //!   --quantum N               instructions per scheduling quantum
 //!                             (at least 1; default 64)
 //!   --window-ms N             steady-state metrics window (default 10)
@@ -352,7 +354,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
 fn run(args: Vec<String>) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage(
-            "usage: tfml <run|disasm|gcmap|analyze|compare> ... (see --help)",
+            "usage: tfml <run|profile|disasm|gcmap|analyze|compare|serve|torture|fuzz> ... \
+             (see --help)",
         ));
     };
     if cmd == "--help" || cmd == "help" {
@@ -489,7 +492,7 @@ fn cmd_run(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
     if opts.stats {
         eprintln!(
             "instructions {}  tag-ops {}  allocations {}  words {}  GCs {}  copied {}  \
-             pause-ns {}  metadata-bytes {}",
+             pause-ns {}  metadata-bytes {}  committed-words {}",
             out.mutator.instructions,
             out.mutator.tag_ops,
             out.heap.allocations,
@@ -498,6 +501,7 @@ fn cmd_run(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
             out.heap.words_copied,
             out.gc.pause_nanos,
             out.metadata_bytes,
+            out.committed_words,
         );
     }
     Ok(())
@@ -510,7 +514,10 @@ fn cmd_profile(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
     })?;
     write_exports(compiled, opts, &rec)?;
     println!("result {}", out.result);
-    print!("{}", tfgc::profile_report(&rec, &compiled.program));
+    print!(
+        "{}",
+        tfgc::profile_report(&rec, &compiled.program, out.committed_words)
+    );
     Ok(())
 }
 
@@ -603,6 +610,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut slo_pause_ms: Option<f64> = None;
     let mut serve_generational = false;
     let mut serve_nursery: Option<usize> = None;
+    let mut heap_max: Option<usize> = None;
     fn num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, CliError>
     where
         T::Err: std::fmt::Display,
@@ -644,7 +652,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             }
             "--heap-max" => {
                 i += 1;
-                base.heap_max_words = Some(num(args, i, "--heap-max")?);
+                heap_max = Some(num(args, i, "--heap-max")?);
             }
             "--quantum" => {
                 i += 1;
@@ -751,6 +759,21 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         return Err(usage("serve: --quantum must be at least 1"));
     }
     tfgc::check_space_words("--heap", base.heap_words).map_err(|m| usage(format!("serve: {m}")))?;
+    base.heap_max_words = match heap_max {
+        Some(max) => {
+            tfgc::check_space_words("--heap-max", max).map_err(|m| usage(format!("serve: {m}")))?;
+            if max < base.heap_words {
+                return Err(usage(format!(
+                    "serve: --heap-max {max} is below --heap {}",
+                    base.heap_words
+                )));
+            }
+            Some(max)
+        }
+        // Without --heap-max the heap may grow to the default ceiling,
+        // or not at all when --heap already starts above it.
+        None => base.heap_max_words.map(|max| max.max(base.heap_words)),
+    };
     if serve_generational {
         // The nursery defaults to a quarter semispace — small enough
         // that minors actually fire under the default traffic.
@@ -1113,6 +1136,8 @@ mod tests {
             vec!["profile", "--heap", "268435457", "-e", "1"],
             vec!["serve", "--heap", "999999999999"],
             vec!["serve", "--nursery-words", "999999999999"],
+            vec!["serve", "--heap", "4096", "--heap-max", "2048"],
+            vec!["serve", "--heap-max", "999999999999"],
             vec!["serve", "--soft-watermark", "ninety"],
             vec!["serve", "--breaker-threshold", "-3"],
             vec!["torture", "--seeds", "NaN"],

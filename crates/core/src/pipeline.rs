@@ -19,11 +19,15 @@ pub enum CompileError {
 }
 
 /// The largest semispace or nursery, in words, that `tfml` and [`serve`]
-/// accept: 2^28 words (2 GiB). Both semispaces and the nursery are
-/// allocated when the machine is built, so a size the allocator cannot
-/// satisfy would abort the process instead of reporting an error.
+/// accept: 2^28 words (2 GiB). Building a machine commits no semispace
+/// memory: each space's backing store grows as its bump pointer
+/// advances. A program that fills a larger space would still need that
+/// memory, though, and growth the allocator cannot satisfy aborts the
+/// process instead of reporting an error; the nursery is allocated
+/// whole when the machine is built. The cap keeps both failures out of
+/// reach of a command-line flag.
 ///
-/// [`serve`]: crate::serve
+/// [`serve`]: fn@crate::serve
 pub const MAX_HEAP_WORDS: usize = 1 << 28;
 
 /// Refuses a heap or nursery size above [`MAX_HEAP_WORDS`]; `what` names

@@ -53,9 +53,10 @@ pub fn metrics_json(rec: &RingRecorder, prog: &IrProgram) -> Json {
     doc
 }
 
-/// The `tfml profile` report: pause/allocation distributions, the
-/// allocation-site ranking, and one line per collection.
-pub fn profile_report(rec: &RingRecorder, prog: &IrProgram) -> String {
+/// The `tfml profile` report: pause/allocation distributions, the heap's
+/// committed words, the allocation-site ranking, and one line per
+/// collection.
+pub fn profile_report(rec: &RingRecorder, prog: &IrProgram, committed_words: usize) -> String {
     let mut out = String::new();
     let ph = rec.pause_hist();
     let ah = rec.alloc_hist();
@@ -70,12 +71,13 @@ pub fn profile_report(rec: &RingRecorder, prog: &IrProgram) -> String {
         ph.mean(),
     ));
     out.push_str(&format!(
-        "allocations {}  words: p50 {}  p99 {}  max {}  mean {:.1}\n\n",
+        "allocations {}  words: p50 {}  p99 {}  max {}  mean {:.1}  committed-words {}\n\n",
         ah.count(),
         ah.p50(),
         ah.p99(),
         ah.max(),
         ah.mean(),
+        committed_words,
     ));
 
     let mut sites = Table::new(&[
@@ -145,8 +147,9 @@ mod tests {
         assert!(out.heap.collections > 0, "heap small enough to collect");
         assert_eq!(rec.collections().len() as u64, out.heap.collections);
 
-        let report = profile_report(&rec, &c.program);
+        let report = profile_report(&rec, &c.program, out.committed_words);
         assert!(report.contains("collections"));
+        assert!(report.contains(&format!("committed-words {}", out.committed_words)));
         assert!(report.contains("alloc"), "site labels name allocations");
 
         let doc = metrics_json(&rec, &c.program);

@@ -246,11 +246,16 @@ pub struct ServeRun {
 ///
 /// # Errors
 ///
-/// A zero `quantum`, a `Some(0)` nursery, and a heap or nursery above
-/// [`MAX_HEAP_WORDS`] are refused up front (the scheduler would never
-/// advance; the heap needs a non-empty nursery; the allocation could
-/// abort the process). Compile errors and whole-machine VM errors
-/// render as strings.
+/// Refused up front, each because the run could not do what it was
+/// configured to do:
+/// - a zero `quantum`: the scheduler would never advance;
+/// - a `Some(0)` nursery: the heap needs a non-empty nursery;
+/// - a heap, heap maximum or nursery above [`MAX_HEAP_WORDS`]: the heap
+///   commits its backing store as it fills, and growth the allocator
+///   cannot satisfy aborts the process;
+/// - a heap maximum below the heap: the heap could never grow to it.
+///
+/// Compile errors and whole-machine VM errors render as strings.
 ///
 /// [`MAX_HEAP_WORDS`]: crate::MAX_HEAP_WORDS
 pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
@@ -261,6 +266,15 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
         return Err("serve: nursery must be at least 1 word".to_string());
     }
     check_space_words("heap", cfg.heap_words).map_err(|m| format!("serve: {m}"))?;
+    if let Some(max) = cfg.heap_max_words {
+        check_space_words("heap max", max).map_err(|m| format!("serve: {m}"))?;
+        if max < cfg.heap_words {
+            return Err(format!(
+                "serve: heap max of {max} words is below the heap of {} words",
+                cfg.heap_words
+            ));
+        }
+    }
     if let Some(n) = cfg.nursery_words {
         check_space_words("nursery", n).map_err(|m| format!("serve: {m}"))?;
     }

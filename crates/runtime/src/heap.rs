@@ -8,16 +8,25 @@
 //! bump-allocates in from-space; a collector copies live objects into
 //! to-space and calls [`Heap::flip`].
 //!
+//! **Committed prefix.** A space's capacity is an address range, not
+//! memory. Its zeroed backing store covers only the prefix its bump
+//! pointer has reached, grown in [`COMMIT_CHUNK`]-word steps by the code
+//! that advances a bump pointer (allocation, copying into to-space,
+//! promotion). Building a heap therefore touches no heap memory, and a
+//! machine pays for the words it allocates, not for the size it was
+//! configured with. [`Heap::committed_words`] reports the total.
+//!
 //! **Forwarding without tags.** A copying collector must detect
 //! already-copied objects. Tag-free objects have no header word to spare,
 //! so the heap keeps a GC-time side bitmap over from-space: marking an
 //! object forwarded sets its bit and overwrites its first word with the
 //! new address. The bitmap is collector-private transient state (1 bit
-//! per from-space word, cleared at flip), not per-object mutator-visible
-//! space, so the paper's "no heap-space overhead" claim is preserved; its
-//! size is reported in [`HeapStats`]. The tagged collector uses the same
-//! mechanism for uniformity (a real tagged runtime would smuggle the
-//! forwarding pointer into the header).
+//! per committed from-space word; a flip clears only the bits below the
+//! old bump pointer, the only ones a collection can set), not per-object
+//! mutator-visible space, so the paper's "no heap-space overhead" claim
+//! is preserved; its size is [`Heap::collector_side_bytes`]. The tagged
+//! collector uses the same mechanism for uniformity (a real tagged
+//! runtime would smuggle the forwarding pointer into the header).
 //!
 //! **Generational tier.** [`Heap::new_generational`] fronts the two
 //! tenured spaces with a bump-pointer *nursery* at its own disjoint base,
@@ -51,6 +60,46 @@ pub const NURSERY_BASE: u64 = HEAP_BASE + (2 << 40);
 /// Hard upper bound on the size of one semispace, in words (8 TiB).
 pub const MAX_SPACE_WORDS: usize = 1 << 40;
 
+/// Granularity, in words, in which a semispace commits backing store.
+pub const COMMIT_CHUNK: usize = 1 << 10;
+
+/// One semispace: an address range of `cap` words, of which only the
+/// prefix `words` is backed by (zeroed) memory. Every offset below the
+/// space's bump pointer is committed.
+#[derive(Debug, Clone)]
+struct Space {
+    words: Vec<Word>,
+    cap: usize,
+}
+
+impl Space {
+    fn new(cap: usize) -> Space {
+        Space {
+            words: Vec::new(),
+            cap,
+        }
+    }
+
+    /// Commits `[0, end)`; `end` must lie within the range. Returns
+    /// `true` if the committed prefix grew.
+    #[inline]
+    fn commit(&mut self, end: usize) -> bool {
+        if end <= self.words.len() {
+            return false;
+        }
+        self.grow(end);
+        true
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, end: usize) {
+        assert!(end <= self.cap, "commit past the end of a semispace");
+        let len = end.next_multiple_of(COMMIT_CHUNK).min(self.cap);
+        self.words.resize(len, 0);
+    }
+}
+
 /// Which collection (if any) the heap is relocating for. Phase-dispatch
 /// lets [`Heap::in_to`] / [`Heap::copy_out`] serve minor and major
 /// cycles through identical collector code.
@@ -71,15 +120,18 @@ enum Phase {
 /// bump-pointer nursery.
 #[derive(Debug, Clone)]
 pub struct Heap {
-    space_a: Vec<Word>,
-    space_b: Vec<Word>,
+    space_a: Space,
+    space_b: Space,
     /// True when space A (low addresses) is the current from-space.
     a_is_from: bool,
     /// Bump pointer within from-space (offset).
     from_alloc: usize,
     /// Bump pointer within to-space (offset), valid during collection.
     to_alloc: usize,
-    /// Forwarding bitmap over from-space words (collection-time only).
+    /// Furthest either bump pointer reached before the last flip.
+    high_water: usize,
+    /// Forwarding bitmap over committed from-space words
+    /// (collection-time only).
     forwarded: Vec<u64>,
     /// Nursery backing store (empty in single-generation mode): eden at
     /// `[0, eden_cap)`, survivor half A at `[eden_cap, eden_cap + sur)`,
@@ -120,18 +172,20 @@ pub struct Heap {
 
 impl Heap {
     /// Creates a single-generation heap with `cap` words per semispace.
+    /// No backing store is committed until the first allocation.
     pub fn new(cap: usize) -> Heap {
         assert!(
             cap <= MAX_SPACE_WORDS,
             "semispace larger than {MAX_SPACE_WORDS} words"
         );
         Heap {
-            space_a: vec![0; cap],
-            space_b: vec![0; cap],
+            space_a: Space::new(cap),
+            space_b: Space::new(cap),
             a_is_from: true,
             from_alloc: 0,
             to_alloc: 0,
-            forwarded: vec![0; cap.div_ceil(64)],
+            high_water: 0,
+            forwarded: Vec::new(),
             nursery: Vec::new(),
             eden_cap: 0,
             survivor_cap: 0,
@@ -222,7 +276,7 @@ impl Heap {
         self.eden_cap + self.survivor_cap
     }
 
-    fn space_from(&self) -> &Vec<Word> {
+    fn space_from(&self) -> &Space {
         if self.a_is_from {
             &self.space_a
         } else {
@@ -230,23 +284,45 @@ impl Heap {
         }
     }
 
-    fn space_to(&self) -> &Vec<Word> {
+    fn space_to(&self) -> &Space {
         if self.a_is_from {
             &self.space_b
         } else {
             &self.space_a
+        }
+    }
+
+    /// (from-space, to-space), mutably.
+    fn spaces_mut(&mut self) -> (&mut Space, &mut Space) {
+        if self.a_is_from {
+            (&mut self.space_a, &mut self.space_b)
+        } else {
+            (&mut self.space_b, &mut self.space_a)
         }
     }
 
     /// Words in the current from-space (the mutator's view of capacity).
     pub fn capacity(&self) -> usize {
-        self.space_from().len()
+        self.space_from().cap
     }
 
     /// Words in the current to-space (differs from [`Heap::capacity`]
     /// only between a growth reservation and the next flip).
     pub fn to_space_capacity(&self) -> usize {
-        self.space_to().len()
+        self.space_to().cap
+    }
+
+    /// Words of zeroed backing store: the committed prefixes of both
+    /// semispaces plus the nursery (committed whole). Diagnostic only —
+    /// not part of [`HeapStats`].
+    pub fn committed_words(&self) -> usize {
+        self.space_a.words.len() + self.space_b.words.len() + self.nursery.len()
+    }
+
+    /// The furthest either semispace's bump pointer has reached since the
+    /// heap was built, in words.
+    pub fn bump_high_water(&self) -> usize {
+        self.high_water.max(self.from_alloc).max(self.to_alloc)
     }
 
     /// Words currently allocated in from-space.
@@ -348,7 +424,7 @@ impl Heap {
     /// Is the address inside the current from-space?
     pub fn in_from(&self, a: Addr) -> bool {
         let b = self.from_base();
-        a.0 >= b && a.0 < b + self.space_from().len() as u64
+        a.0 >= b && a.0 < b + self.capacity() as u64
     }
 
     /// Is the address inside the nursery range?
@@ -373,7 +449,7 @@ impl Heap {
             }
             _ => {
                 let b = self.to_base();
-                a.0 >= b && a.0 < b + self.space_to().len() as u64
+                a.0 >= b && a.0 < b + self.to_space_capacity() as u64
             }
         }
     }
@@ -411,34 +487,47 @@ impl Heap {
                 && self.nursery_used() == 0
                 && self.from_alloc + n <= self.capacity()
             {
-                let a = Addr(self.from_base() + self.from_alloc as u64);
-                self.from_alloc += n;
-                self.stats.allocations += 1;
-                self.stats.words_allocated += n as u64;
-                return Some(a);
+                return Some(self.alloc_from(n));
             }
             return None;
         }
         if self.from_alloc + n > self.capacity() {
             return None;
         }
+        Some(self.alloc_from(n))
+    }
+
+    /// Bumps `n` words in from-space, which must fit its range.
+    fn alloc_from(&mut self, n: usize) -> Addr {
         let a = Addr(self.from_base() + self.from_alloc as u64);
         self.from_alloc += n;
+        self.commit_from(self.from_alloc);
         self.stats.allocations += 1;
         self.stats.words_allocated += n as u64;
-        Some(a)
+        a
+    }
+
+    /// Commits from-space through offset `end`, widening the forwarding
+    /// bitmap to cover the committed words.
+    #[inline]
+    fn commit_from(&mut self, end: usize) {
+        let (from, _) = self.spaces_mut();
+        if from.commit(end) {
+            let bits = from.words.len().div_ceil(64);
+            self.forwarded.resize(bits, 0);
+        }
     }
 
     /// Reads the word at `a + off`.
     ///
     /// # Panics
     ///
-    /// Panics if the address is outside the heap.
+    /// Panics if the address is outside the committed heap.
     pub fn read(&self, a: Addr, off: u16) -> Word {
         let (region, i) = Self::index(a.offset(off));
         match region {
-            0 => self.space_a[i],
-            1 => self.space_b[i],
+            0 => self.space_a.words[i],
+            1 => self.space_b.words[i],
             _ => self.nursery[i],
         }
     }
@@ -447,12 +536,12 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if the address is outside the heap.
+    /// Panics if the address is outside the committed heap.
     pub fn write(&mut self, a: Addr, off: u16, w: Word) {
         let (region, i) = Self::index(a.offset(off));
         match region {
-            0 => self.space_a[i] = w,
-            1 => self.space_b[i] = w,
+            0 => self.space_a.words[i] = w,
+            1 => self.space_b.words[i] = w,
             _ => self.nursery[i] = w,
         }
     }
@@ -516,30 +605,27 @@ impl Heap {
 
     fn copy_out_major(&mut self, src: Addr, n: usize) -> Addr {
         assert!(
-            self.to_alloc + n <= self.space_to().len(),
+            self.to_alloc + n <= self.to_space_capacity(),
             "to-space overflow"
         );
         let (region, si) = Self::index(src);
+        debug_assert!(
+            region == 2 || self.in_from(src),
+            "copy_out source not in from-space"
+        );
         let di = self.to_alloc;
-        match region {
-            2 => {
-                let to = if self.a_is_from {
-                    &mut self.space_b
-                } else {
-                    &mut self.space_a
-                };
-                to[di..di + n].copy_from_slice(&self.nursery[si..si + n]);
-            }
-            _ => {
-                debug_assert!(self.in_from(src), "copy_out source not in from-space");
-                let (from, to) = if self.a_is_from {
-                    (&self.space_a, &mut self.space_b)
-                } else {
-                    (&self.space_b, &mut self.space_a)
-                };
-                to[di..di + n].copy_from_slice(&from[si..si + n]);
-            }
-        }
+        let (from, to) = if self.a_is_from {
+            (&self.space_a, &mut self.space_b)
+        } else {
+            (&self.space_b, &mut self.space_a)
+        };
+        to.commit(di + n);
+        let src_words = if region == 2 {
+            &self.nursery
+        } else {
+            &from.words
+        };
+        to.words[di..di + n].copy_from_slice(&src_words[si..si + n]);
         let dst = Addr(self.to_base() + self.to_alloc as u64);
         self.to_alloc += n;
         self.stats.objects_copied += 1;
@@ -572,12 +658,13 @@ impl Heap {
                 "tenured overflow during minor collection"
             );
             let di = self.from_alloc;
+            self.commit_from(di + n);
             let from = if self.a_is_from {
                 &mut self.space_a
             } else {
                 &mut self.space_b
             };
-            from[di..di + n].copy_from_slice(&self.nursery[si..si + n]);
+            from.words[di..di + n].copy_from_slice(&self.nursery[si..si + n]);
             self.from_alloc += n;
             self.minor_promoted += n;
             Addr(self.from_base() + di as u64)
@@ -623,23 +710,21 @@ impl Heap {
         }
     }
 
-    /// Grows to-space to at least `words` (capped at [`MAX_SPACE_WORDS`]).
-    /// Returns `true` if the space grew. Absolute addresses are stable
-    /// across growth — each space has a fixed base — so live pointers
-    /// need no relocation; the next collection simply copies into the
-    /// larger space. Call outside a collection (`to_alloc == 0`), then
-    /// collect, then call again to grow the other space.
+    /// Grows to-space's range to at least `words` (capped at
+    /// [`MAX_SPACE_WORDS`]). Returns `true` if the range grew. No memory
+    /// is committed here: the next collection commits what it copies.
+    /// Absolute addresses are stable across growth — each space has a
+    /// fixed base — so live pointers need no relocation; the next
+    /// collection simply copies into the larger space. Call outside a
+    /// collection (`to_alloc == 0`), then collect, then call again to
+    /// grow the other space.
     pub fn reserve_to_space(&mut self, words: usize) -> bool {
         let words = words.min(MAX_SPACE_WORDS);
-        let cur = self.space_to().len();
-        if words <= cur {
+        let (_, to) = self.spaces_mut();
+        if words <= to.cap {
             return false;
         }
-        if self.a_is_from {
-            self.space_b.resize(words, 0);
-        } else {
-            self.space_a.resize(words, 0);
-        }
+        to.cap = words;
         true
     }
 
@@ -706,14 +791,16 @@ impl Heap {
     }
 
     /// Finishes a (major) collection: to-space becomes from-space, the
-    /// bitmap is cleared (and resized to cover the new from-space),
-    /// statistics are updated.
+    /// bitmap is cleared (and resized to cover the new from-space's
+    /// committed words), statistics are updated.
     pub fn flip(&mut self) {
+        // Only objects below the bump pointer can have been forwarded.
+        self.forwarded[..self.from_alloc.div_ceil(64)].fill(0);
+        self.high_water = self.bump_high_water();
         self.a_is_from = !self.a_is_from;
         self.from_alloc = self.to_alloc;
         self.to_alloc = 0;
-        let bitmap_words = self.space_from().len().div_ceil(64);
-        self.forwarded.clear();
+        let bitmap_words = self.space_from().words.len().div_ceil(64);
         self.forwarded.resize(bitmap_words, 0);
         self.stats.collections += 1;
         self.stats.live_words_after_last_gc = (self.from_alloc + self.sur_from_alloc) as u64;
@@ -764,11 +851,12 @@ impl Heap {
         self.forwarded.len() * 8 + self.nursery_forwarded.len() * 8 + self.ages.len()
     }
 
-    /// Resets the heap to empty (used between benchmark iterations).
+    /// Resets the heap to empty, keeping its committed backing store.
     pub fn reset(&mut self) {
+        self.forwarded[..self.from_alloc.div_ceil(64)].fill(0);
+        self.high_water = self.bump_high_water();
         self.from_alloc = 0;
         self.to_alloc = 0;
-        self.forwarded.iter_mut().for_each(|w| *w = 0);
         self.eden_alloc = 0;
         self.sur_from_alloc = 0;
         self.sur_to_alloc = 0;
@@ -923,6 +1011,103 @@ mod tests {
         assert!(h.forward_of(Addr(h.live_span().0 + 199)).is_none());
     }
 
+    #[test]
+    fn a_new_heap_commits_nothing() {
+        let h = Heap::new(MAX_SPACE_WORDS);
+        assert_eq!(h.committed_words(), 0);
+        assert_eq!(h.capacity(), MAX_SPACE_WORDS);
+        assert_eq!(h.collector_side_bytes(), 0);
+    }
+
+    #[test]
+    fn allocation_commits_in_chunks() {
+        let mut h = Heap::new(4 * COMMIT_CHUNK);
+        h.alloc(1).unwrap();
+        assert_eq!(h.committed_words(), COMMIT_CHUNK);
+        h.alloc(COMMIT_CHUNK).unwrap();
+        assert_eq!(h.committed_words(), 2 * COMMIT_CHUNK);
+        // The last chunk is clipped to the range.
+        let mut small = Heap::new(COMMIT_CHUNK / 2 + 1);
+        small.alloc(COMMIT_CHUNK / 2 + 1).unwrap();
+        assert_eq!(small.committed_words(), COMMIT_CHUNK / 2 + 1);
+        assert!(small.alloc(1).is_none());
+    }
+
+    #[test]
+    fn reserved_to_space_commits_as_the_copy_reaches_it() {
+        let mut h = Heap::new(2 * COMMIT_CHUNK);
+        let x = h.alloc(COMMIT_CHUNK).unwrap();
+        let y = h.alloc(8).unwrap();
+        h.write(x, 0, 11);
+        h.write(y, 7, 77);
+        assert_eq!(h.committed_words(), 2 * COMMIT_CHUNK);
+        assert!(h.reserve_to_space(4 * COMMIT_CHUNK));
+        assert_eq!(h.to_space_capacity(), 4 * COMMIT_CHUNK);
+        assert_eq!(
+            h.committed_words(),
+            2 * COMMIT_CHUNK,
+            "reserving commits nothing"
+        );
+        let nx = h.copy_out(x, COMMIT_CHUNK);
+        h.set_forward(x, nx);
+        assert_eq!(h.committed_words(), 3 * COMMIT_CHUNK);
+        // `y` lands past the first to-space chunk.
+        let ny = h.copy_out(y, 8);
+        h.set_forward(y, ny);
+        assert_eq!(ny, Addr(SPACE_B_BASE + COMMIT_CHUNK as u64));
+        assert_eq!(h.committed_words(), 4 * COMMIT_CHUNK);
+        h.flip();
+        assert_eq!(h.read(nx, 0), 11);
+        assert_eq!(h.read(ny, 7), 77);
+        assert_eq!(h.capacity(), 4 * COMMIT_CHUNK);
+        // The bitmap follows the new from-space's committed words, and
+        // allocating into its uncommitted tail widens both.
+        assert_eq!(h.collector_side_bytes(), 2 * COMMIT_CHUNK / 64 * 8);
+        let z = h.alloc(2 * COMMIT_CHUNK).unwrap();
+        assert_eq!(h.collector_side_bytes(), 4 * COMMIT_CHUNK / 64 * 8);
+        let last = Addr(z.0 + 2 * COMMIT_CHUNK as u64 - 1);
+        h.write(last, 0, 5);
+        assert!(h.forward_of(last).is_none());
+        assert_eq!(h.bump_high_water(), 3 * COMMIT_CHUNK + 8);
+    }
+
+    #[test]
+    fn no_forwarding_bit_survives_a_flip_below_the_committed_end() {
+        let mut h = Heap::new(4 * COMMIT_CHUNK);
+        let a = h.alloc(2).unwrap();
+        let b = h.alloc(2).unwrap();
+        assert!(h.used() < h.committed_words());
+        let na = h.copy_out(a, 2);
+        h.set_forward(a, na);
+        let nb = h.copy_out(b, 2);
+        h.set_forward(b, nb);
+        h.flip();
+        // Back into space A: only `na` survives, so `b`'s old offset is
+        // past the bump pointer and must read as not forwarded.
+        let ma = h.copy_out(na, 2);
+        h.set_forward(na, ma);
+        h.flip();
+        assert_eq!(ma, a);
+        assert!(h.forward_of(ma).is_none());
+        let c = h.alloc(2).unwrap();
+        assert_eq!(c, b);
+        assert!(h.forward_of(c).is_none());
+    }
+
+    #[test]
+    fn reset_keeps_the_store_and_clears_forwarding() {
+        let mut h = Heap::new(4 * COMMIT_CHUNK);
+        let a = h.alloc(3).unwrap();
+        let na = h.copy_out(a, 3);
+        h.set_forward(a, na);
+        h.reset();
+        assert_eq!(h.used(), 0);
+        assert_eq!(h.committed_words(), 2 * COMMIT_CHUNK);
+        let b = h.alloc(3).unwrap();
+        assert_eq!(b, a);
+        assert!(h.forward_of(b).is_none());
+    }
+
     // ---- generational tier --------------------------------------------
 
     #[test]
@@ -1015,6 +1200,41 @@ mod tests {
         assert!(h.in_nursery(small));
         // Oversize with a non-empty nursery must refuse (forces a major).
         assert!(h.alloc(10).is_none());
+    }
+
+    #[test]
+    fn oversize_alloc_commits_tenured_space() {
+        let mut h = Heap::new_generational(4 * COMMIT_CHUNK, 8, 0);
+        assert_eq!(h.committed_words(), 8, "only the nursery is committed");
+        let big = h.alloc(COMMIT_CHUNK + 1).unwrap();
+        assert!(h.in_from(big));
+        assert_eq!(h.committed_words(), 8 + 2 * COMMIT_CHUNK);
+        h.write(big, COMMIT_CHUNK as u16, 9);
+        assert_eq!(h.read(big, COMMIT_CHUNK as u16), 9);
+        assert!(h.forward_of(Addr(big.0 + COMMIT_CHUNK as u64)).is_none());
+    }
+
+    #[test]
+    fn promotion_commits_from_space_and_its_bitmap() {
+        let mut h = Heap::new_generational(4 * COMMIT_CHUNK, 16, 0);
+        let a = h.alloc(3).unwrap();
+        h.write(a, 2, 42);
+        assert_eq!(h.committed_words(), 16);
+        h.begin_collection(true);
+        let b = h.copy_out(a, 3);
+        h.set_forward(a, b);
+        h.finish_collection();
+        assert!(h.in_from(b));
+        assert_eq!(h.read(b, 2), 42);
+        assert_eq!(h.committed_words(), 16 + COMMIT_CHUNK);
+        // A major can forward the promoted object: the bitmap covers it.
+        h.begin_collection(false);
+        let c = h.copy_out(b, 3);
+        h.set_forward(b, c);
+        assert_eq!(h.forward_of(b), Some(c));
+        h.finish_collection();
+        assert_eq!(h.read(c, 2), 42);
+        h.check_generational_invariants().unwrap();
     }
 
     #[test]

@@ -21,6 +21,6 @@ pub mod stats;
 pub mod word;
 
 pub use encode::{ArithKind, Encoding};
-pub use heap::{Heap, MAX_SPACE_WORDS, NURSERY_BASE, SPACE_B_BASE};
+pub use heap::{Heap, COMMIT_CHUNK, MAX_SPACE_WORDS, NURSERY_BASE, SPACE_B_BASE};
 pub use stats::{HeapStats, OccupancySample};
 pub use word::{Addr, HeapMode, Word, HEAP_BASE};

@@ -143,6 +143,10 @@ pub struct RunOutcome {
     pub descs_interned: usize,
     /// Metadata footprint of the strategy, in bytes.
     pub metadata_bytes: usize,
+    /// Heap backing store committed by the end of the run
+    /// ([`Heap::committed_words`]): a diagnostic of memory touched, not
+    /// a counter of work, so it is kept out of [`HeapStats`].
+    pub committed_words: usize,
 }
 
 /// Compiles metadata and runs a program to completion (single thread).
@@ -531,6 +535,7 @@ impl<'p> Vm<'p> {
                         mutator: self.mutator,
                         descs_interned: self.descs.len(),
                         metadata_bytes: self.meta.metadata_bytes(),
+                        committed_words: self.heap.committed_words(),
                     });
                 }
                 StepEvent::AllocBlocked(_) => {

@@ -1,10 +1,11 @@
-//! A service configuration the engine cannot run must come back as an
-//! error, not as a hang or a process abort. A zero quantum never
-//! advances the scheduler's clock, a zero-word nursery trips the heap's
-//! non-empty-nursery assertion, and a heap or nursery the allocator
-//! cannot satisfy aborts the process when the machine is built, so
-//! `tfgc::serve` refuses all of them up front. `tfml` checks `--heap`
-//! and `--nursery-words` with the same `check_space_words`.
+//! A service configuration the engine cannot run as configured must come
+//! back as an error, not as a hang, a process abort or a silently
+//! ignored setting. A zero quantum never advances the scheduler's clock,
+//! a zero-word nursery trips the heap's non-empty-nursery assertion, a
+//! heap that grows past what the allocator can satisfy aborts the
+//! process, and a heap maximum below the heap would never be reached, so
+//! `tfgc::serve` refuses all of them up front. `tfml` checks `--heap`,
+//! `--heap-max` and `--nursery-words` with the same `check_space_words`.
 
 use tfgc::{check_space_words, serve, ServeConfig, Strategy, MAX_HEAP_WORDS};
 
@@ -61,4 +62,23 @@ fn smallest_runnable_serve_configs_still_run() {
     cfg.nursery_words = Some(1);
     let run = serve(&cfg).expect("quantum 1 with a one-word nursery runs");
     assert_eq!(run.report.outcomes.len(), cfg.requests);
+}
+
+#[test]
+fn heap_max_below_the_heap_is_an_error() {
+    let mut below = small(Strategy::Compiled);
+    below.heap_words = 1 << 12;
+    below.heap_max_words = Some(1 << 11);
+    let err = serve(&below).expect_err("a heap max below the heap must be refused");
+    assert!(err.contains("heap max") && err.contains("below"), "{err}");
+
+    let mut over = small(Strategy::Compiled);
+    over.heap_max_words = Some(MAX_HEAP_WORDS + 1);
+    let err = serve(&over).expect_err("a heap max above the cap must be refused");
+    assert!(err.contains("heap max") && err.contains("cap"), "{err}");
+
+    let mut equal = small(Strategy::Compiled);
+    equal.heap_max_words = Some(equal.heap_words);
+    let run = serve(&equal).expect("a heap max equal to the heap runs (no growth)");
+    assert_eq!(run.report.outcomes.len(), equal.requests);
 }
